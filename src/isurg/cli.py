@@ -3,7 +3,8 @@
 Subcommands: dims, triangle, oracle, legendrian, planefield, trefoil.
 Output is a human-readable table by default; --format json|tsv switches.
 Exit codes: 0 success, 2 usage/validation error, 3 mathematical failure
-(contradiction or undetermined oracle).
+(contradiction or undetermined oracle).  A reader that closes stdout early
+(`isurg dims ... | head -1`) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -386,6 +387,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader has all it wants.  Point stdout at devnull so the
+        # interpreter's final flush of the buffered rest cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
+
+
+def _main(argv) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -117,6 +121,16 @@ def test_oracle_trace_schema(capsys):
     )
 
 
+def test_oracle_wide_range_exits_0(capsys):
+    code, out, _ = run(
+        capsys, "oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-400:400"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 801
+    assert all("agrees=true" in line for line in lines)
+
+
 def test_oracle_drop_c6_exits_3(capsys):
     code, out, _ = run(
         capsys,
@@ -216,3 +230,22 @@ def test_bad_range_exits_2(capsys):
         cli.main(["dims", "--genus", "1", "--range", "5:1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_closed_pipe_exits_cleanly():
+    # A reader that stops early (`isurg dims ... | head -1`) must not get a
+    # BrokenPipeError traceback; the run ends with exit 0.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isurg.cli", "dims", "--genus", "1", "--range", "0:200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith(b"n=0 ")
+    assert err == b""

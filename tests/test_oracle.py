@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isurg.graded import GradedDimZ2
 from isurg.oracle import (
@@ -140,3 +144,64 @@ def test_contradiction_carries_trace():
         system.solve()
     assert exc.value.system is system
     assert system.trace
+
+
+def _chaotic_fixpoint(system, rng):
+    """Apply the system's constraints in random slope and constraint orders
+    until no bound changes; independent of solve()'s sweep schedule."""
+    steps = system._steps()
+    if "C1" not in system.dropped:
+        steps.append(system._c1)
+    slopes = list(system.bounds)
+    for _ in range(2 * len(slopes)):
+        changed = False
+        rng.shuffle(slopes)
+        for n in slopes:
+            rng.shuffle(steps)
+            for step in steps:
+                changed |= step(n)
+        if not changed:
+            return system.bounds
+    raise AssertionError("no fixpoint within the pass limit")
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+@pytest.mark.parametrize("m_offset", (-1, 0, 5))
+@pytest.mark.parametrize("drop", ((), ("C1",), ("C2",), ("C3",), ("C4",), ("C5",), ("C6",)))
+def test_fixpoint_is_order_independent(g, m_offset, drop):
+    m = 2 * g + m_offset
+    solved = build_system(g, m, (-25, 25), drop=drop)
+    try:
+        solved.solve()
+    except NotDeterminedError:
+        pass
+    for seed in range(3):
+        driven = build_system(g, m, (-25, 25), drop=drop)
+        assert _chaotic_fixpoint(driven, random.Random(seed)) == solved.bounds, seed
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_wide_range_solves_in_a_few_sweeps(g):
+    system = build_system(g, 2 * g + 5, (-2000, 2000))
+    assert system.solve() == {n: dims_z2(g, n) for n in range(-2000, 2001)}
+    # Four constraints per slope per sweep: at most five sweeps.
+    assert system.applications <= 5 * len(system.bounds) * 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_oracle_equals_closed_form_property(data):
+    g = data.draw(st.integers(1, 4), label="g")
+    m = data.draw(st.integers(2 * g - 1, 2 * g + 9), label="m")
+    r = data.draw(st.integers(0, 1000), label="R")
+    assert solve(g, m, (-r, r)) == {n: dims_z2(g, n) for n in range(-r, r + 1)}
+
+
+def test_dropping_c2_switches_c4_off():
+    # Without the anchor total of S^3 the triangle sums bound nothing.
+    open_slopes = {}
+    for drop in ("C2", "C4"):
+        with pytest.raises(NotDeterminedError) as exc:
+            solve(1, 5, (-10, 10), drop={drop})
+        open_slopes[drop] = exc.value.slopes
+    assert open_slopes["C2"] == open_slopes["C4"] == list(range(-10, 1))
