@@ -216,7 +216,10 @@ def cmd_oracle(args) -> dict:
     if m < 2 * g - 1:
         raise UsageError(f"lspace-slope must be >= 2g-1 = {2 * g - 1}")
     drop = frozenset(args.drop_constraint or [])
-    system = oracle.build_system(g, m, args.range, drop=drop)
+    try:
+        system = oracle.build_system(g, m, args.range, drop=drop)
+    except ValueError as e:
+        raise UsageError(str(e))
     try:
         solved = system.solve()
     except oracle.ContradictionError as e:

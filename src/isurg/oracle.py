@@ -35,9 +35,22 @@ slope per sweep and needs about (m + R) sweeps, O(R^2) applications, on
 the range [-R, R].  Alternating sweeps carry each chain end to end in one
 pass, and a solve takes about 4 sweeps at any range.
 
-MAX_APPLICATIONS stays a fixed 10**6.  At about 4 sweeps it binds only
-from R of about 30k on; a cap derived from the range belongs with a bound
-on hostile ranges and is not set here.
+Most visits in the later sweeps would change nothing, and the solver skips
+them.  Every constraint at slope n reads and writes only slopes n-1..n+1,
+so each slope carries a stamp of its last bound change, and a visit to n is
+skipped when no stamp in its window moved since the previous visit to n
+began: that visit then left the window as it found it, and the same window
+yields the same (empty) set of changes again (Apt's chaotic iteration
+re-applies only functions whose inputs changed).  Bounds, trace, sweeps
+and contradictions are exactly those of the unskipped sweeps;
+`applications` counts the constraint applications that actually ran, about
+3 visits to each slope.
+
+MAX_APPLICATIONS stays a fixed 10**6 and binds from R of about 41k on.
+The first sweep visits every slope, so a range whose padded slopes times
+active constraints exceed the cap can never finish; the system refuses it
+with ValueError before allocating any bounds (from R = 124,998 on with
+four constraints).
 """
 
 from __future__ import annotations
@@ -87,7 +100,7 @@ class DimInterval:
         return self.hi is not None and self.lo == self.hi
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEntry:
     constraint: str          # one of C1..C6
     slope: int               # slope whose bound changed
@@ -122,6 +135,7 @@ class ConstraintSystem:
     bounds: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
     applications: int = 0
+    sweeps: int = 0
     solved: bool = False
 
     def __post_init__(self):
@@ -136,25 +150,34 @@ class ConstraintSystem:
         bad = self.dropped - set(CONSTRAINT_IDS)
         if bad:
             raise ValueError(f"unknown constraint ids: {sorted(bad)}")
-        # Pad so that boundary slopes still sit inside triangles, and so the
-        # base slope is always present.
-        self._lo = min(self.lo_slope, self.lspace_slope) - self.pad
+        # Pad so that boundary slopes still sit inside triangles, so the base
+        # slope is always present, and so a negative slope is, where C6 holds.
+        self._lo = min(self.lo_slope, self.lspace_slope, 0) - self.pad
         self._hi = max(self.hi_slope, self.lspace_slope) + self.pad
+        # The first sweep applies every active constraint at every slope, so
+        # a range this wide is sure to hit the cap; refuse it before
+        # allocating its bounds.
+        work = (self._hi - self._lo + 1) * len(self._steps())
+        if work > MAX_APPLICATIONS:
+            raise ValueError(
+                f"slope range too wide: one sweep needs {work} applications, "
+                f"more than the cap of {MAX_APPLICATIONS}"
+            )
         for n in range(self._lo, self._hi + 1):
             self.bounds[n] = [DimInterval(), DimInterval(), DimInterval()]
+        # Stamp of each slope's last bound change, one slope past each end so
+        # that every window n-1..n+1 exists; solve() skips a window that no
+        # stamp shows changed since its last visit.
+        self._changed_at = dict.fromkeys(range(self._lo - 1, self._hi + 2), 0)
+        self._tick = 0
 
     # -- bound updates ----------------------------------------------------
 
-    def _iv(self, slope: int, grading: int) -> DimInterval:
-        return self.bounds[slope][grading]
-
     def _raise_lo(self, slope, grading, value, cname, consumed) -> bool:
-        iv = self._iv(slope, grading)
+        iv = self.bounds[slope][grading]
         if value <= iv.lo:
             return False
-        self.trace.append(
-            TraceEntry(cname, slope, grading, "lo", value, tuple(consumed))
-        )
+        self.trace.append(TraceEntry(cname, slope, grading, "lo", value, consumed))
         if iv.hi is not None and value > iv.hi:
             raise ContradictionError(
                 f"{cname}: lower bound {value} exceeds upper bound {iv.hi} "
@@ -162,15 +185,15 @@ class ConstraintSystem:
                 system=self,
             )
         iv.lo = value
+        self._tick += 1
+        self._changed_at[slope] = self._tick
         return True
 
     def _lower_hi(self, slope, grading, value, cname, consumed) -> bool:
-        iv = self._iv(slope, grading)
+        iv = self.bounds[slope][grading]
         if iv.hi is not None and value >= iv.hi:
             return False
-        self.trace.append(
-            TraceEntry(cname, slope, grading, "hi", value, tuple(consumed))
-        )
+        self.trace.append(TraceEntry(cname, slope, grading, "hi", value, consumed))
         if value < iv.lo:
             raise ContradictionError(
                 f"{cname}: upper bound {value} drops below lower bound "
@@ -178,6 +201,8 @@ class ConstraintSystem:
                 system=self,
             )
         iv.hi = value
+        self._tick += 1
+        self._changed_at[slope] = self._tick
         return True
 
     # -- constraints ------------------------------------------------------
@@ -225,12 +250,13 @@ class ConstraintSystem:
 
     def _c4(self, n) -> bool:
         # Triangle (infinity, n, n+1): each total <= sum of the other two.
-        if n + 1 not in self.bounds:
+        bounds = self.bounds
+        if n + 1 not in bounds:
             return False
         changed = False
         s3 = self._S3_TOTAL
         for a, b in ((n, n + 1), (n + 1, n)):
-            tb = self._iv(b, TOTAL)
+            tb = bounds[b][TOTAL]
             if tb.hi is not None:
                 changed |= self._lower_hi(a, TOTAL, tb.hi + s3, "C4", (b, "inf"))
                 if s3 - tb.hi > 0:
@@ -245,8 +271,8 @@ class ConstraintSystem:
         if n - 1 < 2 * self.genus - 1 or n - 1 not in self.bounds:
             return False
         changed = False
-        prev = self._iv(n - 1, TOTAL)
-        here = self._iv(n, TOTAL)
+        prev = self.bounds[n - 1][TOTAL]
+        here = self.bounds[n][TOTAL]
         if prev.hi is not None:
             changed |= self._lower_hi(n, TOTAL, prev.hi + 1, "C5", (n - 1,))
         changed |= self._raise_lo(n, TOTAL, prev.lo + 1, "C5", (n - 1,))
@@ -281,34 +307,48 @@ class ConstraintSystem:
         The sweeps alternate direction over the slopes, ascending first.
         The fixpoint does not depend on the order, but a one-way sweep
         carries bounds against its direction by one slope per sweep; the
-        alternation brings a solve down to about 4 sweeps at any range, so
-        MAX_APPLICATIONS = 10**6 binds only from R of about 30k on."""
+        alternation brings a solve down to about 4 sweeps at any range.
+
+        A visit to slope n is skipped when no slope in n-1..n+1 changed a
+        bound since the previous visit to n began.  Every constraint at n
+        reads only that window, and that visit changed nothing in it, so
+        the skipped visit would change nothing either: bounds, trace, sweep
+        count and contradictions are those of the unskipped sweeps.
+        `applications` counts the applications that ran, `sweeps` the
+        sweeps, including the last one that changed nothing."""
         # C1 is a base fact with no dependencies; seed it before the
         # round-robin so the base slope's trace starts from it.
         if "C1" not in self.dropped:
             self._c1(self.lspace_slope)
         active = self._steps()
         order = list(range(self._lo, self._hi + 1))
+        changed_at = self._changed_at
+        visited = dict.fromkeys(order, -1)  # tick when the last visit began
         capped = False
         while True:
-            changed = False
+            self.sweeps += 1
+            start = self._tick
             for n in order:
+                seen = visited[n]
+                if changed_at[n - 1] <= seen and changed_at[n] <= seen and changed_at[n + 1] <= seen:
+                    continue
+                visited[n] = self._tick
                 for step in active:
                     self.applications += 1
                     if self.applications > MAX_APPLICATIONS:
                         capped = True
                         break
-                    changed |= step(n)
+                    step(n)
                 if capped:
                     break
-            if capped or not changed:
+            if capped or self._tick == start:
                 break
             order.reverse()
         self.solved = True
         open_slopes = [
             n
             for n in range(self.lo_slope, self.hi_slope + 1)
-            if not (self._iv(n, 0).pinned() and self._iv(n, 1).pinned())
+            if not (self.bounds[n][0].pinned() and self.bounds[n][1].pinned())
         ]
         if open_slopes:
             reason = "application cap reached" if capped else "fixpoint reached"
@@ -318,7 +358,7 @@ class ConstraintSystem:
                 system=self,
             )
         return {
-            n: GradedDimZ2(self._iv(n, 0).lo, self._iv(n, 1).lo)
+            n: GradedDimZ2(self.bounds[n][0].lo, self.bounds[n][1].lo)
             for n in range(self.lo_slope, self.hi_slope + 1)
         }
 

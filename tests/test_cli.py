@@ -131,6 +131,26 @@ def test_oracle_wide_range_exits_0(capsys):
     assert all("agrees=true" in line for line in lines)
 
 
+def test_oracle_positive_range_exits_0(capsys):
+    code, record, _ = run_json(
+        capsys, "oracle", "--genus", "2", "--lspace-slope", "3", "--range", "2:2"
+    )
+    assert code == 0
+    assert record["results"][0]["z2"] == [3, 1]
+
+
+def test_oracle_too_wide_range_exits_2(capsys):
+    # Refused before any bound is allocated; should that check regress,
+    # this test costs about 0.3 GB and a few seconds.
+    code, out, err = run(
+        capsys, "oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-130000:130000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: slope range too wide")
+    assert "Traceback" not in err
+
+
 def test_oracle_drop_c6_exits_3(capsys):
     code, out, _ = run(
         capsys,
