@@ -2,7 +2,10 @@
 
 Subcommands: dims, triangle, oracle, legendrian, planefield, trefoil.
 Output is a human-readable table by default; --format json|tsv switches.
-Exit codes: 0 success, 2 usage/validation error, 3 mathematical failure
+JSON output, including the exit-3 report, has exactly the layout of
+`json.dumps(record, indent=2)` (non-ASCII characters escaped) and is
+byte-stable.  Exit codes: 0 success, 2 usage/validation error (including a
+`dims` range of more than MAX_DIMS_SLOPES slopes), 3 mathematical failure
 (contradiction or undetermined oracle).  A reader that closes stdout early
 (`isurg dims ... | head -1`) ends the run quietly with exit 0.
 """
@@ -23,6 +26,10 @@ EXIT_MATH = 3
 
 CATALOG_ENV = "ISURG_CATALOG"
 
+# `dims` computes every row before it prints one (0.5-1.9 KB each), so
+# larger ranges are refused.
+MAX_DIMS_SLOPES = 10**6
+
 
 class UsageError(Exception):
     pass
@@ -41,41 +48,70 @@ _TSV_COLUMNS = {
 }
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii  # the stdlib's C escaper
+
+
+def _json(v, pad="\n") -> str:
+    """`json.dumps(v, indent=2)`, written directly.
+
+    The stdlib indents through pure-Python generators (its C encoder runs
+    only without `indent`); this writes each dict or list with one join and
+    formats int items in place.  Values other than non-empty dicts with str
+    keys, non-empty lists, str and int items go through `json.dumps`.
+    """
+    t = type(v)
+    if t is dict and v:
+        inner = pad + "  "
+        items = [_ESCAPE(k) + ": " + (repr(x) if type(x) is int else _json(x, inner))
+                 for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is list and v:
+        inner = pad + "  "
+        items = [repr(x) if type(x) is int else _json(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if t is str:
+        return _ESCAPE(v)
+    return json.dumps(v)
+
+
 def _fmt(v):
+    if type(v) is int or type(v) is str:
+        return str(v)
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, list):
-        return ",".join(str(x) for x in v)
+        return ",".join([str(x) for x in v])
     return str(v)
 
 
 def _emit(record: dict, fmt: str) -> None:
+    write = sys.stdout.write
     if fmt == "json":
-        print(json.dumps(record, indent=2))
+        write(_json(record) + "\n")
         return
     cmd = record["command"]
     if fmt == "tsv":
         cols = _TSV_COLUMNS[cmd]
-        print("\t".join(cols))
+        write("\t".join(cols) + "\n")
         for res in record["results"]:
             row = _flatten(res)
-            print("\t".join(_fmt(row.get(c)) for c in cols))
+            write("\t".join([_fmt(row.get(c)) for c in cols]) + "\n")
     else:
         for res in record["results"]:
             row = _flatten(res)
-            print("  ".join(f"{k}={_fmt(v)}" for k, v in row.items() if v is not None))
+            write("  ".join([f"{k}={_fmt(v)}" for k, v in row.items() if v is not None]) + "\n")
     for w in record["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     if fmt == "tsv":
         return
     if "trace" in record:
         for e in record["trace"]:
-            print(
+            write(
                 f"trace: {e['constraint']} slope={e['slope']} "
                 f"d{e['grading']}.{e['bound']}={e['value']} "
-                f"consumed={e['consumed']}"
+                f"consumed={e['consumed']}\n"
             )
 
 
@@ -160,6 +196,13 @@ def _slopes(args):
 # -- subcommands ----------------------------------------------------------
 
 def cmd_dims(args) -> dict:
+    if args.range:
+        lo, hi = args.range
+        if hi - lo + 1 > MAX_DIMS_SLOPES:
+            raise UsageError(
+                f"slope range too wide: {lo}:{hi} holds {hi - lo + 1} slopes, "
+                f"more than the limit of {MAX_DIMS_SLOPES}"
+            )
     warnings = []
     if args.knot:
         k = _resolve_knot(args)
@@ -220,31 +263,33 @@ def cmd_oracle(args) -> dict:
         system = oracle.build_system(g, m, args.range, drop=drop)
     except ValueError as e:
         raise UsageError(str(e))
+    inputs = {"genus": g, "lspace_slope": m, "range": list(args.range), "dropped": sorted(drop)}
+    record = _record("oracle", inputs, [], [])
     try:
         solved = system.solve()
     except oracle.ContradictionError as e:
-        raise MathError("contradiction", str(e), system, args)
+        record["error"] = {"kind": "contradiction", "message": str(e)}
     except oracle.NotDeterminedError as e:
-        raise MathError("not-determined", str(e), system, args, slopes=e.slopes)
-    results = []
-    for n in sorted(solved):
-        closed = surgery.dims_z2(g, n)
-        results.append(
-            {
-                "n": n,
-                "z2": list(solved[n].entries()),
-                "agrees": solved[n] == closed,
-                "provenance": "oracle",
-            }
-        )
-    record = _record(
-        "oracle",
-        {"genus": g, "lspace_slope": m, "range": list(args.range), "dropped": sorted(drop)},
-        results,
-        [],
-    )
+        record["error"] = {
+            "kind": "not-determined", "message": str(e), "undetermined_slopes": e.slopes
+        }
+    else:
+        for n in sorted(solved):
+            closed = surgery.dims_z2(g, n)
+            record["results"].append(
+                {
+                    "n": n,
+                    "z2": list(solved[n].entries()),
+                    "agrees": solved[n] == closed,
+                    "provenance": "oracle",
+                }
+            )
     if args.trace:
         record["trace"] = [e.to_dict() for e in system.trace]
+    if "error" in record:
+        # The exit-3 report lists every --drop-constraint as given, repeats included.
+        inputs["dropped"] = sorted(args.drop_constraint or [])
+        raise MathError(record)
     return record
 
 
@@ -322,12 +367,11 @@ def _record(command, inputs, results, warnings) -> dict:
 
 
 class MathError(Exception):
-    def __init__(self, kind, message, system, cli_args, slopes=None):
-        super().__init__(message)
-        self.kind = kind
-        self.system = system
-        self.cli_args = cli_args
-        self.slopes = slopes
+    """A mathematical failure; carries the JSON report printed with exit 3."""
+
+    def __init__(self, report):
+        super().__init__(report["error"]["message"])
+        self.report = report
 
 
 # -- parser ---------------------------------------------------------------
@@ -413,23 +457,7 @@ def _main(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MathError as e:
-        report = _record(
-            "oracle",
-            {
-                "genus": e.cli_args.genus,
-                "lspace_slope": e.cli_args.lspace_slope,
-                "range": list(e.cli_args.range),
-                "dropped": sorted(e.cli_args.drop_constraint or []),
-            },
-            [],
-            [],
-        )
-        report["error"] = {"kind": e.kind, "message": str(e)}
-        if e.slopes is not None:
-            report["error"]["undetermined_slopes"] = e.slopes
-        if getattr(e.cli_args, "trace", False) and e.system is not None:
-            report["trace"] = [t.to_dict() for t in e.system.trace]
-        print(json.dumps(report, indent=2))
+        sys.stdout.write(_json(e.report) + "\n")
         return EXIT_MATH
     _emit(record, args.format)
     return EXIT_OK

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from isurg import cli
+from isurg import cli, surgery
 from isurg.knots import dump_catalog, torus_knot
 
 SCHEMA = json.loads(resources.files("isurg").joinpath("schema.json").read_text())
@@ -49,6 +51,19 @@ def test_dims_invalid_genus(capsys):
     code, _, err = run(capsys, "dims", "--genus", "0", "--n", "1")
     assert code == 2
     assert "genus" in err
+
+
+@pytest.mark.parametrize("slope_range", ["0:1000000", "0:100000000"])
+def test_dims_too_wide_range_exits_2(capsys, monkeypatch, slope_range):
+    def no_rows(g, n):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(surgery, "dims_z2", no_rows)
+    code, out, err = run(capsys, "dims", "--genus", "2", "--range", slope_range, "--z4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: slope range too wide")
+    assert "Traceback" not in err
 
 
 def test_dims_z4_warning_without_lens_flag(capsys, tmp_path):
@@ -269,3 +284,18 @@ def test_closed_pipe_exits_cleanly():
     assert proc.wait(timeout=60) == 0
     assert first.startswith(b"n=0 ")
     assert err == b""
+
+
+# Escapes, non-ASCII and control characters are drawn often, not left to chance.
+_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600') | st.characters())
+_LEAVES = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | _TEXT
+
+
+_TREES = st.recursive(
+    _LEAVES, lambda kids: st.lists(kids) | st.dictionaries(_TEXT, kids), max_leaves=25
+)
+
+
+@given(_TREES)
+def test_json_writer_matches_stdlib_indent(v):
+    assert cli._json(v) == json.dumps(v, indent=2)
