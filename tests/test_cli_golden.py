@@ -1,10 +1,11 @@
 """Golden digests of the CLI's output in every format.
 
 Each case pins the sha256 of stdout and stderr together with the exit code:
-bulk `dims` rows, the catalog-warning path, list and None cells, trace lines,
-the exit-3 error report (whose "dropped" repeats a repeated
---drop-constraint) and a usage error.  Changes to how records are
-formatted must leave all of them byte-identical.
+bulk `dims` rows, the catalog-warning path, list and None cells, every
+regime of the triangle degrees (n >= 2 even, n >= 1 odd, 0, -1, n <= -2
+even, n <= -3 odd), trace lines, the exit-3 error report (whose "dropped"
+repeats a repeated --drop-constraint) and a usage error.  Changes to how
+records are formatted must leave all of them byte-identical.
 """
 
 import hashlib
@@ -23,6 +24,11 @@ CASES = {
     "dims": ["dims", "--genus", "2", "--range", "-300:300", "--z4"],
     "warning": ["dims", "--knot", "K2", "--range", "-5:5", "--z4", "--catalog", "{catalog}"],
     "triangle": ["triangle", "--n", "7"],
+    "triangle_even_pos": ["triangle", "--n", "4"],
+    "triangle_zero": ["triangle", "--n", "0"],
+    "triangle_minus_one": ["triangle", "--n", "-1"],
+    "triangle_even_neg": ["triangle", "--n", "-2"],
+    "triangle_odd_neg": ["triangle", "--n", "-5"],
     "legendrian": ["legendrian", "--tb", "1", "--rot", "0", "--target-tb", "-3"],
     "planefield": ["planefield", "--chi", "1", "--sigma", "0"],
     "planefield_c1sq": ["planefield", "--chi", "2", "--sigma", "-1", "--c1sq", "-1/2"],
@@ -44,6 +50,11 @@ GOLDEN = [
     ("triangle", "table", 0, "f88d7dbce241221679af804914376b30a162363ab8f2a7a3be2db3f776c3e44e"),
     ("triangle", "tsv", 0, "0d046ef75d7508c5b1ab5cd48532bbb443d7334cedd8a276ea5d191995811d3b"),
     ("triangle", "json", 0, "2e70cbfc762f26f85e0d14bc5c7cd08b1e5242808806e478f0e58c0b5456206f"),
+    ("triangle_even_pos", "table", 0, "9e52e10f5cedb635f62c067904a250aa804ca2ff973b50f33220c5387cdc7bee"),
+    ("triangle_zero", "table", 0, "7eca1e6441ac2c5638c427ba26469f855dd01a6e0af17eefbc3fce089a65d68e"),
+    ("triangle_minus_one", "table", 0, "fc808adbc67bcc3ad3cfc46dfd4b47efe00a5846c422deb2e106ba08aca36756"),
+    ("triangle_even_neg", "table", 0, "9f49da3a2644bb7dd643039fa3ca3893ff006c15c192bb68ad5c7eb7b29786e5"),
+    ("triangle_odd_neg", "table", 0, "cdaaa86132ad7ce18aab3c2a6c6efa15abf23dfa8bc60ebdfffb08b4cce3a39d"),
     ("legendrian", "table", 0, "be92e2e021c49d67e1ac06b2fee1e33463a6613c3c5a48a79d7d5dfbc40fe478"),
     ("legendrian", "tsv", 0, "fdb065684db5969cfb84c046ae530a2ea154239b292d7440c5065c2616430519"),
     ("legendrian", "json", 0, "11891d79294a3e09001aae2327abcc4dc3c89d1545630e8c14d749c35b813434"),

@@ -56,12 +56,18 @@ def test_degree_z4_needs_surface_when_nonspin():
 
 
 def test_triangle_degree_table():
-    assert triangle_degrees(4).entries() == (0, 2, 1)
-    assert triangle_degrees(7).entries() == (0, 0, 3)
-    assert triangle_degrees(0).entries() == (2, 2, 3)
-    assert triangle_degrees(-1).entries() == (3, 2, 2)
-    assert triangle_degrees(-2).entries() == (0, 3, 0)
-    assert triangle_degrees(-5).entries() == (0, 1, 2)
+    # The six regimes (n >= 2 even, n >= 1 odd, 0, -1, n <= -2 even,
+    # n <= -3 odd), each at an interior slope and at its boundary slopes.
+    golden = {
+        4: (0, 2, 1), 2: (0, 2, 1),
+        7: (0, 0, 3), 1: (0, 0, 3), 3: (0, 0, 3),
+        0: (2, 2, 3),
+        -1: (3, 2, 2),
+        -2: (0, 3, 0), -4: (0, 3, 0),
+        -5: (0, 1, 2), -3: (0, 1, 2),
+    }
+    for n, entries in golden.items():
+        assert triangle_degrees(n).entries() == entries, n
 
 
 def test_degree_sum_rule():
