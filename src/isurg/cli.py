@@ -5,7 +5,9 @@ Output is a human-readable table by default; --format json|tsv switches.
 JSON output, including the exit-3 report, has exactly the layout of
 `json.dumps(record, indent=2)` (non-ASCII characters escaped) and is
 byte-stable.  Exit codes: 0 success, 2 usage/validation error (including a
-`dims` range of more than MAX_DIMS_SLOPES slopes), 3 mathematical failure
+`dims` range of more than MAX_DIMS_SLOPES slopes, and a result holding an
+integer too long for Python to convert to text, after which the table or
+TSV lines already written stay on stdout), 3 mathematical failure
 (contradiction or undetermined oracle).  A reader that closes stdout early
 (`isurg dims ... | head -1`) ends the run quietly with exit 0.
 """
@@ -234,18 +236,13 @@ def cmd_dims(args) -> dict:
 def cmd_triangle(args) -> dict:
     n = args.n
     degs = triangle.triangle_degrees(n)
-    d_surgery = triangle.d_degree(triangle.surgery_map_cobordism_data(n))
-    if n % 2 == 0:
-        other = triangle.surgery_cobordism_data(n)  # S^3 -> S^3_n is spin
-    else:
-        other = triangle.to_s3_cobordism_data(n)    # S^3_{n+1} -> S^3 is spin
     res = {
         "n": n,
         "deg_surgery": degs.deg_surgery,
         "deg_to_s3": degs.deg_to_s3,
         "deg_from_s3": degs.deg_from_s3,
-        "d_spin_surgery": d_surgery,
-        "d_spin_other": triangle.d_degree(other),
+        "d_spin_surgery": triangle.d_degree(triangle.surgery_map_cobordism_data(n)),
+        "d_spin_other": triangle.d_degree(triangle.spin_s3_cobordism_data(n)),
         "provenance": "cor51",
     }
     return _record("triangle", {"n": n}, [res], [])
@@ -287,8 +284,6 @@ def cmd_oracle(args) -> dict:
     if args.trace:
         record["trace"] = [e.to_dict() for e in system.trace]
     if "error" in record:
-        # The exit-3 report lists every --drop-constraint as given, repeats included.
-        inputs["dropped"] = sorted(args.drop_constraint or [])
         raise MathError(record)
     return record
 
@@ -459,7 +454,11 @@ def _main(argv) -> int:
     except MathError as e:
         sys.stdout.write(_json(e.report) + "\n")
         return EXIT_MATH
-    _emit(record, args.format)
+    try:
+        _emit(record, args.format)
+    except ValueError as e:  # an int past sys.get_int_max_str_digits()
+        print(f"error: cannot write the result: {e}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

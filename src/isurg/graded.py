@@ -9,43 +9,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+class _GradedDim:
+    """Validation and total shared by the graded dimension vectors."""
+
+    def __post_init__(self):
+        for i, v in enumerate(self.entries()):
+            if not isinstance(v, int) or v < 0:
+                raise ValueError(f"d{i} must be a nonnegative integer, got {v!r}")
+
+    def total(self) -> int:
+        return sum(self.entries())
+
+
 @dataclass(frozen=True)
-class GradedDimZ2:
+class GradedDimZ2(_GradedDim):
     """Dimension vector of a Z/2-graded vector space: (d0, d1)."""
 
     d0: int
     d1: int
-
-    def __post_init__(self):
-        for name in ("d0", "d1"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-
-    def total(self) -> int:
-        return self.d0 + self.d1
 
     def entries(self) -> tuple:
         return (self.d0, self.d1)
 
 
 @dataclass(frozen=True)
-class GradedDimZ4:
+class GradedDimZ4(_GradedDim):
     """Dimension vector of a Z/4-graded vector space: (d0, d1, d2, d3)."""
 
     d0: int
     d1: int
     d2: int
     d3: int
-
-    def __post_init__(self):
-        for name in ("d0", "d1", "d2", "d3"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-
-    def total(self) -> int:
-        return self.d0 + self.d1 + self.d2 + self.d3
 
     def entries(self) -> tuple:
         return (self.d0, self.d1, self.d2, self.d3)

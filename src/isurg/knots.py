@@ -73,7 +73,7 @@ def load_catalog(source: str) -> list:
     """Parse and validate a catalog document; returns KnotDescriptor list."""
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int too long to convert
         raise CatalogError(f"catalog is not valid JSON: {e}") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("knots"), list):
         raise CatalogError('catalog must be an object with a "knots" list')

@@ -67,6 +67,9 @@ CONSTRAINT_IDS = ("C1", "C2", "C3", "C4", "C5", "C6")
 # Index of the total-dimension interval in a slope's bound triple.
 TOTAL = 2
 
+# Slopes of padding past each end of the slope range.
+PAD = 2
+
 
 class ContradictionError(Exception):
     """A bound crossed (lo > hi); carries the system with its trace."""
@@ -131,12 +134,11 @@ class ConstraintSystem:
     lo_slope: int
     hi_slope: int
     dropped: frozenset = frozenset()
-    pad: int = 2
-    bounds: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
-    applications: int = 0
-    sweeps: int = 0
-    solved: bool = False
+    bounds: dict = field(init=False, default_factory=dict)
+    trace: list = field(init=False, default_factory=list)
+    applications: int = field(init=False, default=0)
+    sweeps: int = field(init=False, default=0)
+    solved: bool = field(init=False, default=False)
 
     def __post_init__(self):
         if self.genus < 1:
@@ -152,8 +154,8 @@ class ConstraintSystem:
             raise ValueError(f"unknown constraint ids: {sorted(bad)}")
         # Pad so that boundary slopes still sit inside triangles, so the base
         # slope is always present, and so a negative slope is, where C6 holds.
-        self._lo = min(self.lo_slope, self.lspace_slope, 0) - self.pad
-        self._hi = max(self.hi_slope, self.lspace_slope) + self.pad
+        self._lo = min(self.lo_slope, self.lspace_slope, 0) - PAD
+        self._hi = max(self.hi_slope, self.lspace_slope) + PAD
         # The first sweep applies every active constraint at every slope, so
         # a range this wide is sure to hit the cap; refuse it before
         # allocating its bounds.

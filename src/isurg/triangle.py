@@ -1,4 +1,4 @@
-"""Cobordism degree arithmetic and the surgery-triangle degree table.
+"""Cobordism degree arithmetic and the surgery-triangle degrees.
 
 The integer attached to a cobordism W: Y_in -> Y_out is
 
@@ -7,12 +7,16 @@ The integer attached to a cobordism W: Y_in -> Y_out is
 and its mod-2 reduction is (1/2)(chi + sigma + b1_out - b1_in + b0_out - b0_in).
 An empty end is encoded by b0 = 0 (and b1 = 0); its terms then contribute
 nothing, which covers fillings X: empty -> Y.
+
+The Z/4 degrees of the (S^3, S^3_n, S^3_{n+1}) triangle are derived, not
+tabulated: the surgery map and whichever map through S^3 is spin each have
+degree d(W) mod 4, and the three degrees sum to 3 mod 4, which fixes the
+degree of the non-spin map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 
@@ -53,16 +57,12 @@ class TriangleDegrees:
         return (self.deg_surgery, self.deg_to_s3, self.deg_from_s3)
 
 
-def _end_terms(c: CobordismData) -> Fraction:
-    return Fraction(c.b1_out - c.b1_in + c.b0_out - c.b0_in, 2)
-
-
 def d_degree(c: CobordismData) -> int:
     """The integer d(W); raises if the data gives a non-integral value."""
-    val = Fraction(-3 * (c.chi + c.sigma), 2) + _end_terms(c)
-    if val.denominator != 1:
-        raise ValueError(f"d(W) is not an integer for this data: {val}")
-    return int(val)
+    twice = -3 * (c.chi + c.sigma) + c.b1_out - c.b1_in + c.b0_out - c.b0_in
+    if twice % 2 != 0:
+        raise ValueError(f"d(W) is not an integer for this data: {twice}/2")
+    return twice // 2
 
 
 def d_mod2(c: CobordismData) -> int:
@@ -83,31 +83,15 @@ def degree_z4(c: CobordismData) -> int:
     return (d + 2 * c.surface_self_int) % 4
 
 
-# Z/4 degree table for the (S^3, S^3_n, S^3_{n+1}) exact triangle, keyed by
-# the sign/parity regime of n.  Stored as data: the non-spin entry is pinned
-# by the sum-to-3 rule rather than computable from d(W) alone.
-_TRIANGLE_TABLE = {
-    "even_pos": (0, 2, 1),   # n >= 2, n even
-    "odd_pos": (0, 0, 3),    # n >= 1, n odd
-    "zero": (2, 2, 3),       # n = 0
-    "minus_one": (3, 2, 2),  # n = -1
-    "even_neg": (0, 3, 0),   # n <= -2, n even
-    "odd_neg": (0, 1, 2),    # n <= -3, n odd
-}
-
-
-def _regime(n: int) -> str:
-    if n == 0:
-        return "zero"
-    if n == -1:
-        return "minus_one"
-    if n > 0:
-        return "even_pos" if n % 2 == 0 else "odd_pos"
-    return "even_neg" if n % 2 == 0 else "odd_neg"
-
-
 def triangle_degrees(n: int) -> TriangleDegrees:
-    return TriangleDegrees(*_TRIANGLE_TABLE[_regime(n)])
+    """Z/4 degrees of the triangle at slope n, derived from d(W)."""
+    deg_surgery = d_degree(surgery_map_cobordism_data(n)) % 4
+    spin = spin_s3_cobordism_data(n)
+    deg_spin = d_degree(spin) % 4
+    deg_non_spin = (3 - deg_surgery - deg_spin) % 4
+    if spin == surgery_cobordism_data(n):  # S^3 -> S^3_n is the spin map
+        return TriangleDegrees(deg_surgery, deg_non_spin, deg_spin)
+    return TriangleDegrees(deg_surgery, deg_spin, deg_non_spin)
 
 
 def _sign(n: int) -> int:
@@ -156,3 +140,13 @@ def to_s3_cobordism_data(n: int) -> CobordismData:
         b1_in=1 if n + 1 == 0 else 0,
         spin=n % 2 != 0,
     )
+
+
+def spin_s3_cobordism_data(n: int) -> CobordismData:
+    """Data of the map through S^3 in the triangle that is spin.
+
+    That is S^3 -> S^3_n(K) when n is even and S^3_{n+1}(K) -> S^3 when n
+    is odd; the other map through S^3 is non-spin.
+    """
+    from_s3 = surgery_cobordism_data(n)
+    return from_s3 if from_s3.spin else to_s3_cobordism_data(n)

@@ -66,6 +66,36 @@ def test_dims_too_wide_range_exits_2(capsys, monkeypatch, slope_range):
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit on converting an int to text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length to text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+def test_dims_too_long_to_print_exits_2(capsys, int_digit_limit, fmt):
+    # The genus parses, but the row's dimensions need one digit more.
+    genus = "9" * int_digit_limit
+    code, _, err = run(capsys, "--format", fmt, "dims", "--genus", genus, "--n", "0")
+    assert code == 2
+    assert err.startswith("error: cannot write the result")
+
+
+def test_catalog_int_too_long_exits_2(capsys, tmp_path, int_digit_limit):
+    path = tmp_path / "cat.json"
+    genus = "9" * (int_digit_limit + 700)
+    path.write_text('{"knots": [{"name": "k", "genus": ' + genus + ', "max_self_linking": 1}]}')
+    code, out, err = run(capsys, "dims", "--knot", "k", "--n", "0", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: catalog {path}: catalog is not valid JSON")
+
+
 def test_dims_z4_warning_without_lens_flag(capsys, tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(
@@ -178,6 +208,17 @@ def test_oracle_drop_c6_exits_3(capsys):
     jsonschema.validate(record, SCHEMA)
     assert record["error"]["kind"] == "not-determined"
     assert any(s < 0 for s in record["error"]["undetermined_slopes"])
+
+
+def test_oracle_exit3_lists_repeated_drop_once(capsys):
+    code, out, _ = run(
+        capsys,
+        "--format", "json",
+        "oracle", "--genus", "2", "--lspace-slope", "6", "--range", "-8:8",
+        "--drop-constraint", "C5", "--drop-constraint", "C5",
+    )
+    assert code == 3
+    assert json.loads(out)["inputs"]["dropped"] == ["C5"]
 
 
 def test_oracle_precondition_exit_2(capsys):

@@ -41,10 +41,17 @@ def test_sum_and_shift_examples():
 
 
 def test_negative_entries_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d0 must be a nonnegative integer, got -1"):
         GradedDimZ2(-1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d2 must be a nonnegative integer, got -2"):
         GradedDimZ4(0, 0, -2, 0)
+
+
+def test_vectors_compare_by_type_and_entries():
+    assert GradedDimZ2(1, 0) != (1, 0)
+    assert GradedDimZ4(1, 0, 0, 0) != GradedDimZ2(1, 0)
+    assert GradedDimZ2(3, 4).total() == 7
+    assert GradedDimZ4(1, 2, 3, 4).total() == 10
 
 
 @given(z4_vectors)

@@ -7,6 +7,7 @@ from isurg.triangle import (
     d_mod2,
     degree_z4,
     surgery_cobordism_data,
+    spin_s3_cobordism_data,
     surgery_map_cobordism_data,
     to_s3_cobordism_data,
     triangle_degrees,
@@ -20,8 +21,10 @@ def test_d_degree_two_handle_traces():
 
 
 def test_d_degree_non_integral_rejected():
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match="not an integer for this data: 1/2$"):
         d_degree(CobordismData(chi=0, sigma=0, b1_out=1))
+    with pytest.raises(ValueError, match="not an integer for this data: -3/2$"):
+        d_degree(CobordismData(chi=1, sigma=0))
 
 
 def test_d_mod2_examples():
@@ -87,6 +90,14 @@ def test_surgery_cobordism_data():
     assert (c.chi, c.sigma, c.spin) == (1, 1, True)
     c = surgery_cobordism_data(0)
     assert (c.chi, c.sigma, c.b1_out, c.spin) == (1, 0, 1, True)
+
+
+def test_spin_s3_cobordism_data_is_the_spin_map():
+    for n in range(-20, 21):
+        from_s3, to_s3 = surgery_cobordism_data(n), to_s3_cobordism_data(n)
+        expected = from_s3 if n % 2 == 0 else to_s3
+        assert spin_s3_cobordism_data(n) == expected
+        assert expected.spin
 
 
 def test_d_mod2_consistent_with_d_degree():
