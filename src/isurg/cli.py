@@ -5,7 +5,8 @@ Output is a human-readable table by default; --format json|tsv switches.
 JSON output, including the exit-3 report, has exactly the layout of
 `json.dumps(record, indent=2)` (non-ASCII characters escaped) and is
 byte-stable.  Exit codes: 0 success, 2 usage/validation error (including a
-`dims` range of more than MAX_DIMS_SLOPES slopes, and a result holding an
+`dims` range of more than MAX_ITEMS slopes, a `legendrian` target tb that
+gives more than MAX_ITEMS rotation numbers, and a result holding an
 integer too long for Python to convert to text, after which the table or
 TSV lines already written stay on stdout), 3 mathematical failure
 (contradiction or undetermined oracle).  A reader that closes stdout early
@@ -28,9 +29,10 @@ EXIT_MATH = 3
 
 CATALOG_ENV = "ISURG_CATALOG"
 
-# `dims` computes every row before it prints one (0.5-1.9 KB each), so
-# larger ranges are refused.
-MAX_DIMS_SLOPES = 10**6
+# `dims` computes every row before it prints one (0.5-1.9 KB each), and
+# `legendrian` lists every rotation number, so more slopes or rotation
+# numbers than this are refused.
+MAX_ITEMS = 10**6
 
 
 class UsageError(Exception):
@@ -200,10 +202,10 @@ def _slopes(args):
 def cmd_dims(args) -> dict:
     if args.range:
         lo, hi = args.range
-        if hi - lo + 1 > MAX_DIMS_SLOPES:
+        if hi - lo + 1 > MAX_ITEMS:
             raise UsageError(
                 f"slope range too wide: {lo}:{hi} holds {hi - lo + 1} slopes, "
-                f"more than the limit of {MAX_DIMS_SLOPES}"
+                f"more than the limit of {MAX_ITEMS}"
             )
     warnings = []
     if args.knot:
@@ -257,7 +259,7 @@ def cmd_oracle(args) -> dict:
         raise UsageError(f"lspace-slope must be >= 2g-1 = {2 * g - 1}")
     drop = frozenset(args.drop_constraint or [])
     try:
-        system = oracle.build_system(g, m, args.range, drop=drop)
+        system = oracle.build_system(g, m, args.range, drop=drop, trace=args.trace)
     except ValueError as e:
         raise UsageError(str(e))
     inputs = {"genus": g, "lspace_slope": m, "range": list(args.range), "dropped": sorted(drop)}
@@ -289,6 +291,12 @@ def cmd_oracle(args) -> dict:
 
 
 def cmd_legendrian(args) -> dict:
+    n_rots = args.tb - args.target_tb + 1
+    if n_rots > MAX_ITEMS:
+        raise UsageError(
+            f"target tb too low: tb {args.tb} down to {args.target_tb} gives "
+            f"{n_rots} rotation numbers, more than the limit of {MAX_ITEMS}"
+        )
     try:
         rep = legendrian.LegendrianRep(args.tb, args.rot)
         rots = legendrian.rotation_numbers_after(rep, args.target_tb)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isurg import cli, surgery
+from isurg import cli, legendrian, surgery
 from isurg.knots import dump_catalog, torus_knot
 
 SCHEMA = json.loads(resources.files("isurg").joinpath("schema.json").read_text())
@@ -244,6 +244,33 @@ def test_legendrian(capsys):
     (res,) = record["results"]
     assert res["rotations"] == [-3, -1, 1, 3]
     assert res["chern_count"] == 4
+
+
+@pytest.mark.parametrize("target_tb", ("-999999", "-100000000000"))
+def test_legendrian_too_low_target_exits_2(capsys, monkeypatch, target_tb):
+    # tb 1 down to -999999 gives 10**6 + 1 rotation numbers, one over the
+    # limit; none is computed.
+    def no_rotations(rep, target_tb):
+        raise AssertionError("rotation numbers were computed")
+
+    monkeypatch.setattr(legendrian, "rotation_numbers_after", no_rotations)
+    code, out, err = run(capsys, "legendrian", "--tb", "1", "--rot", "0", "--target-tb", target_tb)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: target tb too low")
+    assert "Traceback" not in err
+
+
+def test_legendrian_at_the_limit_is_computed(capsys, monkeypatch):
+    # tb 1 down to -999998 gives exactly 10**6 rotation numbers; the stubs
+    # keep the test from building them.
+    monkeypatch.setattr(legendrian, "rotation_numbers_after", lambda rep, target_tb: [1])
+    monkeypatch.setattr(legendrian, "distinct_chern_count", lambda rep, target_tb: 1)
+    code, record, _ = run_json(
+        capsys, "legendrian", "--tb", "1", "--rot", "0", "--target-tb", "-999998"
+    )
+    assert code == 0
+    assert record["results"][0]["rotations"] == [1]
 
 
 def test_legendrian_bad_parity(capsys):

@@ -100,7 +100,7 @@ def test_dropping_c5_leaves_slopes_at_or_above_2g_minus_1_open(g):
 
 def test_monotone_trace():
     # Bounds only ever tighten: lower bounds rise, upper bounds fall.
-    system = build_system(1, 5, (-10, 10))
+    system = build_system(1, 5, (-10, 10), trace=True)
     system.solve()
     seen = {}
     for e in system.trace:
@@ -114,7 +114,7 @@ def test_monotone_trace():
 
 
 def test_explain():
-    system = build_system(1, 5, (-10, 10))
+    system = build_system(1, 5, (-10, 10), trace=True)
     system.solve()
     base_entries = explain(system, 5)
     assert base_entries
@@ -130,8 +130,15 @@ def test_explain():
 
 
 def test_explain_requires_solve():
+    system = build_system(1, 5, (-10, 10), trace=True)
+    with pytest.raises(ValueError, match="solve has not run"):
+        explain(system, 5)
+
+
+def test_explain_requires_a_trace():
     system = build_system(1, 5, (-10, 10))
-    with pytest.raises(ValueError):
+    system.solve()
+    with pytest.raises(ValueError, match="without a trace"):
         explain(system, 5)
 
 
@@ -152,7 +159,7 @@ def test_contradiction_carries_trace():
     # An impossible base (huge Stein bounds against a tiny L-space total)
     # cannot happen with valid inputs, so force one by shrinking the range
     # onto a manufactured clash: C6 vs a C4 chain from the base.
-    system = build_system(1, 5, (-10, 10))
+    system = build_system(1, 5, (-10, 10), trace=True)
     system.bounds[-1][0] = DimInterval(0, 1)  # below the C6 bound of 3
     with pytest.raises(ContradictionError) as exc:
         system.solve()
@@ -238,17 +245,39 @@ def _unskipped_sweeps(system):
 @pytest.mark.parametrize("drop", ((), ("C1",), ("C2",), ("C3",), ("C4",), ("C5",), ("C6",)))
 def test_skipped_visits_change_nothing(g, m_offset, drop):
     m = 2 * g + m_offset
-    solved = build_system(g, m, (-25, 25), drop=drop)
+    solved = build_system(g, m, (-25, 25), drop=drop, trace=True)
     try:
         solved.solve()
     except NotDeterminedError:
         pass
-    driven = build_system(g, m, (-25, 25), drop=drop)
+    driven = build_system(g, m, (-25, 25), drop=drop, trace=True)
     sweeps, applications = _unskipped_sweeps(driven)
     assert solved.trace == driven.trace
     assert solved.bounds == driven.bounds
     assert solved.sweeps == sweeps
     assert solved.applications <= applications
+
+
+def _outcome(system):
+    try:
+        return system.solve()
+    except (NotDeterminedError, ContradictionError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+@pytest.mark.parametrize("m_offset", (-1, 0, 5))
+@pytest.mark.parametrize("drop", ((), ("C1",), ("C2",), ("C3",), ("C4",), ("C5",), ("C6",)))
+def test_trace_changes_nothing_but_the_trace(g, m_offset, drop):
+    m = 2 * g + m_offset
+    traced = build_system(g, m, (-25, 25), drop=drop, trace=True)
+    untraced = build_system(g, m, (-25, 25), drop=drop)
+    assert _outcome(traced) == _outcome(untraced)
+    assert traced.bounds == untraced.bounds
+    assert traced.sweeps == untraced.sweeps
+    assert traced.applications == untraced.applications
+    assert traced.trace
+    assert untraced.trace == []
 
 
 def test_positive_range_reaches_stein_slopes():
