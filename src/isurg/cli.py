@@ -4,13 +4,15 @@ Subcommands: dims, triangle, oracle, legendrian, planefield, trefoil.
 Output is a human-readable table by default; --format json|tsv switches.
 JSON output, including the exit-3 report, has exactly the layout of
 `json.dumps(record, indent=2)` (non-ASCII characters escaped) and is
-byte-stable.  Exit codes: 0 success, 2 usage/validation error (including a
-`dims` range of more than MAX_ITEMS slopes, a `legendrian` target tb that
-gives more than MAX_ITEMS rotation numbers, and a result holding an
-integer too long for Python to convert to text, after which the table or
-TSV lines already written stay on stdout), 3 mathematical failure
-(contradiction or undetermined oracle).  A reader that closes stdout early
-(`isurg dims ... | head -1`) ends the run quietly with exit 0.
+byte-stable.  Result rows are written as they are computed, so `dims`
+holds one row at a time at any range, and a reader that closes stdout
+early (`isurg dims ... | head -1`) stops a long range there and ends the
+run quietly with exit 0.  Exit codes: 0 success, 2 usage/validation error
+(including a `dims` range of more than MAX_ITEMS slopes, a `legendrian`
+target tb that gives more than MAX_ITEMS rotation numbers, and a result
+holding an integer too long for Python to convert to text, after which
+the part of the record already written stays on stdout, in every
+format), 3 mathematical failure (contradiction or undetermined oracle).
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ EXIT_MATH = 3
 
 CATALOG_ENV = "ISURG_CATALOG"
 
-# `dims` computes every row before it prints one (0.5-1.9 KB each), and
-# `legendrian` lists every rotation number, so more slopes or rotation
-# numbers than this are refused.
+# More slopes or rotation numbers than this are refused.  `dims` streams
+# its rows, so for it this bounds only the run time; `legendrian` holds
+# every rotation number in its one row.
 MAX_ITEMS = 10**6
 
 
@@ -91,9 +93,23 @@ def _fmt(v):
 
 
 def _emit(record: dict, fmt: str) -> None:
+    """Write the record, each result row as soon as `results` yields it."""
     write = sys.stdout.write
     if fmt == "json":
-        write(_json(record) + "\n")
+        # The layout of _json(record), with "results" written row by row.
+        sep = "{\n  "
+        for k, v in record.items():
+            write(sep + _ESCAPE(k) + ": ")
+            sep = ",\n  "
+            if k != "results":
+                write(_json(v, "\n  "))
+                continue
+            lead = "[\n    "
+            for res in v:
+                write(lead + _json(res, "\n    "))
+                lead = ",\n    "
+            write("[]" if lead == "[\n    " else "\n  ]")
+        write("\n}\n")
         return
     cmd = record["command"]
     if fmt == "tsv":
@@ -101,11 +117,12 @@ def _emit(record: dict, fmt: str) -> None:
         write("\t".join(cols) + "\n")
         for res in record["results"]:
             row = _flatten(res)
-            write("\t".join([_fmt(row.get(c)) for c in cols]) + "\n")
+            write("\t".join([str(v) if type(v) is int else _fmt(v) for v in map(row.get, cols)]) + "\n")
     else:
         for res in record["results"]:
             row = _flatten(res)
-            write("  ".join([f"{k}={_fmt(v)}" for k, v in row.items() if v is not None]) + "\n")
+            write("  ".join([f"{k}={str(v) if type(v) is int else _fmt(v)}"
+                             for k, v in row.items() if v is not None]) + "\n")
     for w in record["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     if fmt == "tsv":
@@ -193,8 +210,8 @@ def _resolve_knot(args) -> knots.KnotDescriptor:
 
 def _slopes(args):
     if args.n is not None:
-        return [args.n]
-    return list(range(args.range[0], args.range[1] + 1))
+        return range(args.n, args.n + 1)
+    return range(args.range[0], args.range[1] + 1)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -224,15 +241,18 @@ def cmd_dims(args) -> dict:
             "Z/4 gradings assume a positive lens-space surgery; this knot is "
             "not marked lens_surgery=true"
         )
-    results = []
-    for n in _slopes(args):
+    inputs.update(_slope_inputs(args))
+    return _record("dims", inputs, _dims_rows(g, _slopes(args), args.z4), warnings)
+
+
+def _dims_rows(g, slopes, z4):
+    """The rows of `dims`, computed one at a time as `_emit` asks for them."""
+    for n in slopes:
         res = {"n": n, "z2": list(surgery.dims_z2(g, n).entries()), "provenance": "eq1"}
-        if args.z4:
+        if z4:
             res["z4"] = list(surgery.dims_z4(g, n).entries())
             res["provenance"] = "cor52"
-        results.append(res)
-    inputs.update(_slope_inputs(args))
-    return _record("dims", inputs, results, warnings)
+        yield res
 
 
 def cmd_triangle(args) -> dict:
@@ -460,7 +480,7 @@ def _main(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MathError as e:
-        sys.stdout.write(_json(e.report) + "\n")
+        _emit(e.report, "json")
         return EXIT_MATH
     try:
         _emit(record, args.format)

@@ -38,25 +38,36 @@ def stabilize(rep: LegendrianRep, sign: int) -> LegendrianRep:
     return LegendrianRep(rep.tb - 1, rep.r + sign)
 
 
-def rotation_numbers_after(rep: LegendrianRep, target_tb: int) -> list:
-    """All rotation numbers reachable by stabilizing rep down to target_tb.
+def _progression(rep: LegendrianRep, target_tb: int):
+    """(first, count) of the rotation numbers reachable at target_tb.
 
-    With n = 1 - target_tb these are r - tb - n + 1 + 2k for
-    0 <= k <= tb + n - 1; there are tb - target_tb + 1 of them, all of one
-    parity.  Returned sorted ascending.
+    With n = 1 - target_tb they are r - tb - n + 1 + 2k for
+    0 <= k <= tb + n - 1: tb - target_tb + 1 numbers, all of one parity.
     """
     if target_tb > rep.tb:
         raise ValueError(f"target_tb {target_tb} exceeds tb {rep.tb}")
-    n = 1 - target_tb
-    base = rep.r - rep.tb - n + 1
-    return [base + 2 * k for k in range(rep.tb + n)]
+    return rep.r - rep.tb + target_tb, rep.tb - target_tb + 1
+
+
+def rotation_numbers_after(rep: LegendrianRep, target_tb: int) -> list:
+    """All rotation numbers reachable by stabilizing rep down to target_tb,
+    sorted ascending (see `_progression`)."""
+    first, count = _progression(rep, target_tb)
+    return list(range(first, first + 2 * count, 2))
 
 
 def distinct_chern_count(rep: LegendrianRep, target_tb: int) -> int:
     """Number of distinct Chern classes among the reachable rotation numbers
-    and their conjugates; r = 0 is not double-counted."""
-    rots = rotation_numbers_after(rep, target_tb)
-    return len(set(rots) | {-r for r in rots})
+    and their conjugates; r = 0 is not double-counted.
+
+    The progression first, first + 2, ..., last and its negation share one
+    parity, so they overlap exactly in the values of that parity in
+    [max(first, -last), min(last, -first)].
+    """
+    first, count = _progression(rep, target_tb)
+    last = first + 2 * (count - 1)
+    lo, hi = max(first, -last), min(last, -first)
+    return 2 * count - max(0, (hi - lo) // 2 + 1)
 
 
 def prop41_lower_bound(s: int, n: int) -> GradedDimZ2:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -367,3 +371,78 @@ _TREES = st.recursive(
 @given(_TREES)
 def test_json_writer_matches_stdlib_indent(v):
     assert cli._json(v) == json.dumps(v, indent=2)
+
+
+_RECORDS = st.fixed_dictionaries(
+    {
+        "command": _TEXT,
+        "inputs": st.dictionaries(_TEXT, _LEAVES, max_size=3),
+        "results": st.lists(_TREES, max_size=3),
+        "warnings": st.lists(_TEXT, max_size=2),
+    },
+    optional={
+        "trace": st.lists(st.dictionaries(_TEXT, _LEAVES), max_size=3),
+        "error": st.dictionaries(_TEXT, _LEAVES, max_size=3),
+    },
+)
+
+
+@given(_RECORDS, st.booleans())
+def test_streamed_json_matches_stdlib_indent(record, rows_as_generator):
+    expected = json.dumps(record, indent=2) + "\n"
+    if rows_as_generator:
+        record = dict(record, results=(row for row in record["results"]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(record, "json")
+    assert out.getvalue() == expected
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written (all ASCII)."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+def test_dims_streams_in_bounded_memory(capsys, monkeypatch, fmt):
+    # 10**5 rows of 30-180 bytes each: a writer that held the rows or the
+    # output would peak at tens of MiB.
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["--format", fmt, "dims", "--genus", "2", "--range", "0:99999", "--z4"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.written > 3 * 10**6
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+def test_dims_writes_the_first_row_before_computing_the_last(capsys, monkeypatch, fmt):
+    computed = []
+    dims_z4 = surgery.dims_z4
+
+    def counted_dims_z4(g, n):
+        computed.append(n)
+        return dims_z4(g, n)
+
+    monkeypatch.setattr(surgery, "dims_z4", counted_dims_z4)
+    rows_at_write = []
+    sink = SimpleNamespace(write=lambda text: rows_at_write.append(len(computed)), flush=lambda: None)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["--format", fmt, "dims", "--genus", "2", "--range", "0:999", "--z4"]) == 0
+    assert len(computed) == 1000
+    # The first write after any row was computed came after exactly one.
+    assert next(k for k in rows_at_write if k > 0) == 1

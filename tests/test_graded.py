@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +47,41 @@ def test_negative_entries_rejected():
         GradedDimZ2(-1, 0)
     with pytest.raises(ValueError, match="d2 must be a nonnegative integer, got -2"):
         GradedDimZ4(0, 0, -2, 0)
+
+
+@pytest.mark.parametrize("cls,size", [(GradedDimZ2, 2), (GradedDimZ4, 4)])
+def test_entries_validated_at_every_position(cls, size):
+    for i in range(size):
+        for bad in (-1, -(10**30), 1.0, 0.5, "1", None):
+            entries = [0] * size
+            entries[i] = bad
+            with pytest.raises(ValueError) as exc:
+                cls(*entries)
+            assert str(exc.value) == f"d{i} must be a nonnegative integer, got {bad!r}"
+        for good in (True, False, 10**30, 10**40 + 7):
+            entries = [1] * size
+            entries[i] = good
+            v = cls(*entries)
+            assert v.entries()[i] is good
+
+
+def test_first_bad_entry_is_reported():
+    with pytest.raises(ValueError, match="^d1 must be a nonnegative integer, got -1$"):
+        GradedDimZ4(0, -1, "x", None)
+
+
+def test_vectors_are_frozen_hashable_and_keep_their_repr():
+    v = GradedDimZ2(1, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.d0 = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        GradedDimZ4(1, 2, 3, 4).d3 = 0
+    assert repr(v) == "GradedDimZ2(d0=1, d1=0)"
+    assert repr(GradedDimZ4(1, 0, 1, 1)) == "GradedDimZ4(d0=1, d1=0, d2=1, d3=1)"
+    assert GradedDimZ2(d0=1, d1=0) == v
+    assert hash(GradedDimZ2(1, 0)) == hash(v)
+    assert hash(GradedDimZ4(1, 2, 3, 4)) == hash(GradedDimZ4(1, 2, 3, 4))
+    assert len({v, GradedDimZ2(1, 0), GradedDimZ2(0, 1)}) == 2
 
 
 def test_vectors_compare_by_type_and_entries():

@@ -57,6 +57,25 @@ def test_chern_count_examples():
     assert distinct_chern_count(LegendrianRep(1, 0), 1) == 1
 
 
+def test_chern_count_matches_the_set_of_conjugates():
+    # The count is arithmetic; its definition is the size of the set of
+    # rotation numbers (enumerated in test_matches_brute_force_enumeration)
+    # and their conjugates.
+    for tb in range(-8, 9):
+        for r in range(-12, 13):
+            if (tb + r) % 2 == 0:
+                continue
+            rep = LegendrianRep(tb, r)
+            for target in range(tb - 25, tb + 1):
+                rots = rotation_numbers_after(rep, target)
+                assert distinct_chern_count(rep, target) == len(set(rots) | {-x for x in rots})
+
+
+def test_chern_count_target_above_tb_rejected():
+    with pytest.raises(ValueError, match="target_tb 2 exceeds tb 1"):
+        distinct_chern_count(LegendrianRep(1, 0), 2)
+
+
 def test_prop41_examples():
     assert prop41_lower_bound(1, 1) == GradedDimZ2(2, 1)
     assert prop41_lower_bound(3, 2) == GradedDimZ2(5, 3)
