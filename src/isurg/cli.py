@@ -6,13 +6,18 @@ JSON output, including the exit-3 report, has exactly the layout of
 `json.dumps(record, indent=2)` (non-ASCII characters escaped) and is
 byte-stable.  Result rows are written as they are computed, so `dims`
 holds one row at a time at any range, and a reader that closes stdout
-early (`isurg dims ... | head -1`) stops a long range there and ends the
-run quietly with exit 0.  Exit codes: 0 success, 2 usage/validation error
-(including a `dims` range of more than MAX_ITEMS slopes, a `legendrian`
-target tb that gives more than MAX_ITEMS rotation numbers, and a result
-holding an integer too long for Python to convert to text, after which
-the part of the record already written stays on stdout, in every
-format), 3 mathematical failure (contradiction or undetermined oracle).
+early (`isurg dims ... | head -1`) stops a long range there and ends
+the run quietly with exit 0.  A `dims` row is a flat tuple of ints.
+Once per record, a sample row goes through the writer that formats every
+other command's dict rows, with each int as a `%d` slot; each row is
+then one `template % row` and one `write`.  Exit codes: 0 success, 2
+usage/validation error (including a `dims` range of more than MAX_ITEMS
+slopes, a `legendrian` target tb that gives more than MAX_ITEMS rotation
+numbers, a `--c1sq` whose numerator or denominator would pass Python's
+limit on int digits, and a result holding an integer too long for Python
+to convert to text, after which the part of the record already written
+stays on stdout, in every format, and any warning still reaches stderr),
+3 mathematical failure (contradiction or undetermined oracle).
 """
 
 from __future__ import annotations
@@ -93,7 +98,11 @@ def _fmt(v):
 
 
 def _emit(record: dict, fmt: str) -> None:
-    """Write the record, each result row as soon as `results` yields it."""
+    """Write the record, each result row as soon as `results` yields it.
+
+    Warnings go to stderr before the first row, except in JSON, which
+    holds them in the record.
+    """
     write = sys.stdout.write
     if fmt == "json":
         # The layout of _json(record), with "results" written row by row.
@@ -103,30 +112,20 @@ def _emit(record: dict, fmt: str) -> None:
             sep = ",\n  "
             if k != "results":
                 write(_json(v, "\n  "))
-                continue
-            lead = "[\n    "
-            for res in v:
-                write(lead + _json(res, "\n    "))
-                lead = ",\n    "
-            write("[]" if lead == "[\n    " else "\n  ]")
+            elif _write_rows(v, lambda res: _json(res, "\n    "), "[\n    ", ",\n    "):
+                write("\n  ]")
+            else:
+                write("[]")
         write("\n}\n")
         return
-    cmd = record["command"]
-    if fmt == "tsv":
-        cols = _TSV_COLUMNS[cmd]
-        write("\t".join(cols) + "\n")
-        for res in record["results"]:
-            row = _flatten(res)
-            write("\t".join([str(v) if type(v) is int else _fmt(v) for v in map(row.get, cols)]) + "\n")
-    else:
-        for res in record["results"]:
-            row = _flatten(res)
-            write("  ".join([f"{k}={str(v) if type(v) is int else _fmt(v)}"
-                             for k, v in row.items() if v is not None]) + "\n")
     for w in record["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     if fmt == "tsv":
+        cols = _TSV_COLUMNS[record["command"]]
+        write("\t".join(cols) + "\n")
+        _write_rows(record["results"], lambda res: _tsv_row(res, cols))
         return
+    _write_rows(record["results"], _table_row)
     if "trace" in record:
         for e in record["trace"]:
             write(
@@ -134,6 +133,16 @@ def _emit(record: dict, fmt: str) -> None:
                 f"d{e['grading']}.{e['bound']}={e['value']} "
                 f"consumed={e['consumed']}\n"
             )
+
+
+def _tsv_row(res: dict, cols) -> str:
+    row = _flatten(res)
+    return "\t".join([str(v) if type(v) is int else _fmt(v) for v in map(row.get, cols)]) + "\n"
+
+
+def _table_row(res: dict) -> str:
+    return "  ".join([f"{k}={str(v) if type(v) is int else _fmt(v)}"
+                      for k, v in _flatten(res).items() if v is not None]) + "\n"
 
 
 def _flatten(res: dict) -> dict:
@@ -146,6 +155,51 @@ def _flatten(res: dict) -> dict:
         else:
             out[k] = v
     return out
+
+
+def _write_rows(results, render, first="", sep="") -> bool:
+    """Write each row of `results` as `render` gives it, with `first` before
+    the first row and `sep` before each later one; False if there was none.
+
+    A dict row is rendered on its own.  Flat `dims` rows (int tuples, see
+    `_dims_row`) share one `%` template, rendered once from a sample row,
+    so each costs one `%` and one `write`; `%d` refuses an int too long to
+    print with the same ValueError as `str`.
+    """
+    write = sys.stdout.write
+    rows = iter(results)
+    for row in rows:  # not next(rows, None): a generic row may be None
+        break
+    else:
+        return False
+    if type(row) is not tuple:
+        write(first + render(row))
+        for row in rows:
+            write(sep + render(row))
+        return True
+    template = _row_template(render, len(row))
+    write((first + template) % row)
+    template = sep + template
+    for row in rows:
+        write(template % row)
+    return True
+
+
+# Stand-ins for the ints of a sample row: all 41 digits long, so none is
+# part of another, and no fixed text of a row holds a number that long.
+_SLOT = 10**40
+
+
+def _row_template(render, width: int) -> str:
+    """The `%` template with `template % row == render(_dims_row(row))` for
+    every flat `dims` row of `width` ints."""
+    text = render(_dims_row(tuple(range(_SLOT, _SLOT + width))))
+    fixed = []
+    for slot in range(_SLOT, _SLOT + width):
+        head, _, text = text.partition(str(slot))
+        fixed.append(head)
+    fixed.append(text)
+    return "%d".join([part.replace("%", "%%") for part in fixed])
 
 
 # -- argument helpers -----------------------------------------------------
@@ -246,13 +300,21 @@ def cmd_dims(args) -> dict:
 
 
 def _dims_rows(g, slopes, z4):
-    """The rows of `dims`, computed one at a time as `_emit` asks for them."""
-    for n in slopes:
-        res = {"n": n, "z2": list(surgery.dims_z2(g, n).entries()), "provenance": "eq1"}
-        if z4:
-            res["z4"] = list(surgery.dims_z4(g, n).entries())
-            res["provenance"] = "cor52"
-        yield res
+    """The rows of `dims` as flat int tuples, computed one at a time as
+    `_emit` asks for them."""
+    if z4:
+        for n in slopes:
+            yield (n,) + surgery.dims_z2(g, n).entries() + surgery.dims_z4(g, n).entries()
+    else:
+        for n in slopes:
+            yield (n,) + surgery.dims_z2(g, n).entries()
+
+
+def _dims_row(row: tuple) -> dict:
+    """The record form of a flat `dims` row (n, z2_d0, z2_d1[, z4_d0..z4_d3])."""
+    if len(row) == 3:
+        return {"n": row[0], "z2": list(row[1:]), "provenance": "eq1"}
+    return {"n": row[0], "z2": list(row[1:3]), "provenance": "cor52", "z4": list(row[3:])}
 
 
 def cmd_triangle(args) -> dict:
@@ -340,12 +402,7 @@ def cmd_legendrian(args) -> dict:
 
 
 def cmd_planefield(args) -> dict:
-    c1sq = None
-    if args.c1sq is not None:
-        try:
-            c1sq = Fraction(args.c1sq)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--c1sq must be a rational, got {args.c1sq!r}")
+    c1sq = None if args.c1sq is None else _rational(args.c1sq)
     try:
         f = planefield.FillingData(args.chi, args.sigma, args.b1, c1sq)
         d = planefield.delta(f)
@@ -358,12 +415,44 @@ def cmd_planefield(args) -> dict:
         "provenance": "delta",
     }
     if c1sq is not None:
-        res["d3"] = str(planefield.d3(f))
-        res["rho"] = str(planefield.rho(f))
+        try:
+            res["d3"] = str(planefield.d3(f))
+            res["rho"] = str(planefield.rho(f))
+        except ValueError as e:  # an int past sys.get_int_max_str_digits()
+            raise UsageError(f"cannot write the result: {e}")
     inputs = {"chi": args.chi, "sigma": args.sigma, "b1": args.b1}
     if args.c1sq is not None:
         inputs["c1sq"] = args.c1sq
     return _record("planefield", inputs, [res], [])
+
+
+def _rational(text: str) -> Fraction:
+    """`Fraction(text)` for `--c1sq`.
+
+    Refused before it is built when a decimal's numerator or denominator,
+    before reduction, would have more digits than Python converts to text:
+    an exponent alone can ask for 10**10**7, which takes seconds to build
+    and cannot be printed.  Each part of an "a/b" is an int parse, which
+    that limit already bounds.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and "/" not in text:
+        mantissa, _, exp = text.strip().lower().partition("e")
+        whole, _, frac = mantissa.partition(".")
+        try:
+            shift = int(exp or 0) - len(frac.replace("_", ""))
+        except ValueError:
+            shift = 0  # not a rational; Fraction says so below
+        digits = len((whole + frac).replace("_", "").lstrip("+-").lstrip("0"))
+        if digits + max(shift, 0) > limit or -shift >= limit:
+            raise UsageError(
+                f"--c1sq {text!r} has a numerator or denominator of more than "
+                f"{limit} digits"
+            )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--c1sq must be a rational, got {text!r}")
 
 
 def cmd_trefoil(args) -> dict:
@@ -485,6 +574,9 @@ def _main(argv) -> int:
     try:
         _emit(record, args.format)
     except ValueError as e:  # an int past sys.get_int_max_str_digits()
+        if args.format == "json":  # table and TSV wrote them before the rows
+            for w in record["warnings"]:
+                print(f"warning: {w}", file=sys.stderr)
         print(f"error: cannot write the result: {e}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from isurg import cli, legendrian, surgery
@@ -88,6 +88,22 @@ def test_dims_too_long_to_print_exits_2(capsys, int_digit_limit, fmt):
     code, _, err = run(capsys, "--format", fmt, "dims", "--genus", genus, "--n", "0")
     assert code == 2
     assert err.startswith("error: cannot write the result")
+
+
+@pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+def test_dims_warning_shows_when_a_row_cannot_be_written(capsys, tmp_path, int_digit_limit, fmt):
+    # The genus parses; the first row needs one digit more.  The warning
+    # must still reach stderr, before the error.
+    path = tmp_path / "cat.json"
+    genus = "9" * int_digit_limit
+    path.write_text('{"knots": [{"name": "k", "genus": ' + genus + ', "max_self_linking": 1}]}')
+    code, _, err = run(
+        capsys, "--format", fmt, "dims", "--knot", "k", "--n", "0", "--z4", "--catalog", str(path)
+    )
+    assert code == 2
+    warning, error = err.splitlines()
+    assert warning.startswith("warning: Z/4 gradings assume a positive lens-space surgery")
+    assert error.startswith("error: cannot write the result")
 
 
 def test_catalog_int_too_long_exits_2(capsys, tmp_path, int_digit_limit):
@@ -299,6 +315,39 @@ def test_planefield(capsys):
     assert res["rho"] == "0"
 
 
+@pytest.mark.parametrize("c1sq", ["1e400000", "1e10000000", "0.5e-4299"])
+def test_planefield_c1sq_too_long_exits_2(capsys, monkeypatch, int_digit_limit, c1sq):
+    # Refused from the text alone: building 10**10**7 would take seconds.
+    def no_fraction(text):
+        raise AssertionError("the Fraction was built")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    code, out, err = run(capsys, "planefield", "--chi", "1", "--sigma", "0", "--c1sq", c1sq)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: --c1sq {c1sq!r} has a numerator or denominator of more than "
+        f"{int_digit_limit} digits\n"
+    )
+
+
+def test_planefield_c1sq_at_the_digit_limit_is_computed(capsys, int_digit_limit):
+    code, record, _ = run_json(capsys, "planefield", "--chi", "1", "--sigma", "0", "--c1sq", "1e4299")
+    assert code == 0
+    assert record["results"][0]["rho"] == "0"
+
+
+@pytest.mark.parametrize("c1sq", ["9" * 4300, "1/" + "9" * 4300])
+def test_planefield_unprintable_d3_exits_2(capsys, int_digit_limit, c1sq):
+    # c1sq itself parses, but d3 = (c1sq + 10)/4 needs 4301 digits in its
+    # numerator or its denominator.
+    code, out, err = run(capsys, "planefield", "--chi", "1", "--sigma", "-4", "--c1sq", c1sq)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write the result")
+    assert "Traceback" not in err
+
+
 def test_planefield_bad_parity(capsys):
     code, _, err = run(capsys, "planefield", "--chi", "2", "--sigma", "0")
     assert code == 2
@@ -446,3 +495,63 @@ def test_dims_writes_the_first_row_before_computing_the_last(capsys, monkeypatch
     assert len(computed) == 1000
     # The first write after any row was computed came after exactly one.
     assert next(k for k in rows_at_write if k > 0) == 1
+
+
+def _captured(fn, *args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = fn(*args)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _dict_row(g, n, z4):
+    """A `dims` row built as a dict, the form every other command emits."""
+    res = {"n": n, "z2": list(surgery.dims_z2(g, n).entries()), "provenance": "eq1"}
+    if z4:
+        res["z4"] = list(surgery.dims_z4(g, n).entries())
+        res["provenance"] = "cor52"
+    return res
+
+
+HUGE_GENUS = 3 * 10**200 + 1
+GENERA = (1, 2, 3, 4, 5, HUGE_GENUS)
+
+
+@pytest.fixture(scope="module")
+def warning_catalog(tmp_path_factory):
+    """A knot per genus in GENERA, none marked lens_surgery, so --z4 warns."""
+    path = tmp_path_factory.mktemp("catalog") / "cat.json"
+    knots = [{"name": f"K{g}", "genus": g, "max_self_linking": 1} for g in GENERA]
+    path.write_text(json.dumps({"knots": knots}))
+    return str(path)
+
+
+# A window of slopes starting near 0 or near 2g-1 crosses the regime
+# boundaries there: n <= -2 of both parities, -1, 0, 1..2g-2, 2g-1, 2g.
+# A width of -1 asks for the single slope with --n.
+@given(
+    fmt=st.sampled_from(["table", "tsv", "json"]),
+    z4=st.booleans(),
+    g=st.sampled_from(GENERA),
+    by_knot=st.booleans(),
+    near_top=st.booleans(),
+    offset=st.integers(-12, 2),
+    width=st.integers(-1, 16),
+)
+@example(fmt="table", z4=True, g=5, by_knot=False, near_top=False, offset=-4, width=16)
+@example(fmt="tsv", z4=True, g=5, by_knot=True, near_top=False, offset=-4, width=16)
+@example(fmt="json", z4=True, g=5, by_knot=False, near_top=False, offset=-4, width=16)
+def test_dims_rows_match_the_dict_row_writer(warning_catalog, fmt, z4, g, by_knot, near_top, offset, width):
+    lo = (2 * g - 1) * near_top + offset
+    hi = max(lo, lo + width)
+    who = ["--knot", f"K{g}", "--catalog", warning_catalog] if by_knot else ["--genus", str(g)]
+    where = ["--n", str(lo)] if width < 0 else ["--range", f"{lo}:{hi}"]
+    argv = ["--format", fmt, "dims", *who, *where] + ["--z4"] * z4
+    code, out, err = _captured(cli.main, argv)
+    assert code == 0
+
+    record = cli.cmd_dims(cli.build_parser().parse_args(cli._preprocess(argv)))
+    record["results"] = [_dict_row(g, n, z4) for n in range(lo, hi + 1)]
+    _, ref_out, ref_err = _captured(cli._emit, record, fmt)
+    assert out == ref_out
+    assert err == ref_err
