@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -433,9 +434,12 @@ def _rational(text: str) -> Fraction:
     before reduction, would have more digits than Python converts to text:
     an exponent alone can ask for 10**10**7, which takes seconds to build
     and cannot be printed.  Each part of an "a/b" is an int parse, which
-    that limit already bounds.
+    that limit already bounds; the error names the limit then too.  Errors
+    echo at most the first 40 characters of the text.
     """
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = f"--c1sq {shown} has a numerator or denominator of more than {limit} digits"
     if limit and "/" not in text:
         mantissa, _, exp = text.strip().lower().partition("e")
         whole, _, frac = mantissa.partition(".")
@@ -445,14 +449,13 @@ def _rational(text: str) -> Fraction:
             shift = 0  # not a rational; Fraction says so below
         digits = len((whole + frac).replace("_", "").lstrip("+-").lstrip("0"))
         if digits + max(shift, 0) > limit or -shift >= limit:
-            raise UsageError(
-                f"--c1sq {text!r} has a numerator or denominator of more than "
-                f"{limit} digits"
-            )
+            raise UsageError(too_long)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--c1sq must be a rational, got {text!r}")
+        if limit and any(len(run) > limit for run in re.findall(r"\d+", text.replace("_", ""))):
+            raise UsageError(too_long)
+        raise UsageError(f"--c1sq must be a rational, got {shown}")
 
 
 def cmd_trefoil(args) -> dict:

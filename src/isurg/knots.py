@@ -67,6 +67,7 @@ def torus_knot(p: int, q: int) -> KnotDescriptor:
 
 _REQUIRED = ("name", "genus", "max_self_linking")
 _OPTIONAL = ("lspace_slope", "lens_surgery")
+_INTEGERS = ("genus", "max_self_linking", "lspace_slope")
 
 
 def load_catalog(source: str) -> list:
@@ -87,6 +88,15 @@ def load_catalog(source: str) -> list:
         unknown = set(entry) - set(_REQUIRED) - set(_OPTIONAL)
         if unknown:
             raise CatalogError(f"knots[{i}]: unknown keys {sorted(unknown)}")
+        for key in _INTEGERS:
+            value = entry.get(key)
+            # A JSON true is a bool, which Python counts as an int; a null
+            # lspace_slope means none, as an absent one does.
+            if type(value) is not int and (value is not None or key in _REQUIRED):
+                raise CatalogError(
+                    f"knots[{i}] ({entry.get('name', '?')}): {key} must be an "
+                    f"integer, got {json.dumps(value)[:40]}"
+                )
         try:
             out.append(
                 KnotDescriptor(

@@ -36,34 +36,29 @@ the range [-R, R].  Alternating sweeps carry each chain end to end in one
 pass, and a solve takes about 4 sweeps at any range.
 
 Most visits in the later sweeps would change nothing, and the solver skips
-them.  Every constraint at slope n reads and writes only slopes n-1..n+1,
-so each slope carries a stamp of its last bound change, and a visit to n is
-skipped when no stamp in its window moved since the previous visit to n
-began: that visit then left the window as it found it, and the same window
-yields the same (empty) set of changes again (Apt's chaotic iteration
-re-applies only functions whose inputs changed).  Bounds, trace, sweeps
-and contradictions are exactly those of the unskipped sweeps;
-`applications` counts the constraint applications that actually ran, about
-3 visits to each slope.
+them: every constraint at slope n reads and writes only slopes n-1..n+1,
+so a visit to n is skipped when no bound in that window changed since the
+previous visit to n began (Apt's chaotic iteration re-applies only
+functions whose inputs changed).  Bounds, trace, sweeps and contradictions
+are exactly those of the unskipped sweeps; about 3 visits per slope run.
 
-Within a visit, most candidate bounds a constraint computes are no tighter
-than the bound already there (about four in five over a typical solve).
-C3-C6 compare each candidate with the current bound and call the update
-only when the candidate is strictly tighter; the skipped calls
-are again ones that would change nothing, so the tightenings and their
-order stay the same.
+A visit applies C3, C4, C5 and C6 at its slope, in that order, in one loop
+body (`_apply`) that states each rule once.  Most candidate bounds a rule
+computes are no tighter than the bound already there (about four in five
+over a typical solve), so an update is called only for a strictly tighter
+candidate; the tightenings and their order stay the same.
 
-The trace is built only on request: `build_system(..., trace=True)` makes
-the system record a TraceEntry for each tightening (the CLI's `--trace`
-does this).  By default `trace` stays an empty list and explain() refuses
-the system; bounds, results, contradictions, sweeps and applications do
-not depend on the choice.
+The trace is built only on request (`build_system(..., trace=True)`, as
+the CLI's `--trace` does); by default `trace` stays empty, explain()
+refuses the system, and nothing else depends on the choice.
 
-MAX_APPLICATIONS stays a fixed 10**6 and binds from R of about 41k on.
-The first sweep visits every slope, so a range whose padded slopes times
-active constraints exceed the cap can never finish; the system refuses it
-with ValueError before allocating any bounds (from R = 124,998 on with
-four constraints).
+MAX_APPLICATIONS stays a fixed 10**6 and binds from R of about 41k on.  It
+is checked once per visit: a visit that would pass it is counted but not
+run, so `applications > MAX_APPLICATIONS` holds exactly when the cap
+stopped a solve.  The first sweep visits every slope, so a range whose
+padded slopes times active constraints exceed the cap can never finish;
+the system refuses it with ValueError before allocating any bounds (from
+R = 124,998 on with four constraints).
 """
 
 from __future__ import annotations
@@ -137,10 +132,6 @@ class TraceEntry:
         }
 
 
-def _ceil_half(x: int) -> int:
-    return -((-x) // 2)
-
-
 @dataclass
 class ConstraintSystem:
     genus: int
@@ -171,10 +162,9 @@ class ConstraintSystem:
         # slope is always present, and so a negative slope is, where C6 holds.
         self._lo = min(self.lo_slope, self.lspace_slope, 0) - PAD
         self._hi = max(self.hi_slope, self.lspace_slope) + PAD
-        # The first sweep applies every active constraint at every slope, so
-        # a range this wide is sure to hit the cap; refuse it before
-        # allocating its bounds.
-        work = (self._hi - self._lo + 1) * len(self._steps())
+        # The first sweep applies every active constraint at every slope, so a
+        # range this wide is sure to hit the cap; refuse it before allocating.
+        work = (self._hi - self._lo + 1) * sum(self._active())
         if work > MAX_APPLICATIONS:
             raise ValueError(
                 f"slope range too wide: one sweep needs {work} applications, "
@@ -182,9 +172,8 @@ class ConstraintSystem:
             )
         for n in range(self._lo, self._hi + 1):
             self.bounds[n] = [DimInterval(), DimInterval(), DimInterval()]
-        # Stamp of each slope's last bound change, one slope past each end so
-        # that every window n-1..n+1 exists; solve() skips a window that no
-        # stamp shows changed since its last visit.
+        # Tick of each slope's last bound change, one slope past each end so
+        # that every window n-1..n+1 that _apply checks exists.
         self._changed_at = dict.fromkeys(range(self._lo - 1, self._hi + 2), 0)
         self._tick = 0
 
@@ -230,8 +219,8 @@ class ConstraintSystem:
 
     # -- constraints ------------------------------------------------------
     #
-    # Each returns whether it changed a bound; C3-C6 read that off the
-    # change counter.
+    # Each returns whether it changed a bound.  C3-C6 are stated once, in
+    # _apply; _c3-_c6 apply one of them at one slope.
 
     def _c1(self, n) -> bool:
         if n != self.lspace_slope:
@@ -245,119 +234,147 @@ class ConstraintSystem:
         return changed
 
     # C2, the total dimension 1 of the unsurgered S^3, enters as the
-    # constant anchor in the triangle sums of _c4.
+    # constant anchor in C4's triangle sums.
     _S3_TOTAL = 1
 
     def _c3(self, n) -> bool:
-        d0, d1, t = self.bounds[n]
-        k = abs(n)
-        tick = self._tick
-        # pairwise euler coupling: d0 = d1 + k
-        v = d1.lo + k
-        if v > d0.lo:
-            self._raise_lo(n, 0, v, "C3", (n,))
-        if d1.hi is not None:
-            v = d1.hi + k
-            if d0.hi is None or v < d0.hi:
-                self._lower_hi(n, 0, v, "C3", (n,))
-        v = d0.lo - k
-        if v > d1.lo:
-            self._raise_lo(n, 1, v, "C3", (n,))
-        if d0.hi is not None:
-            v = max(d0.hi - k, 0)
-            if d1.hi is None or v < d1.hi:
-                self._lower_hi(n, 1, v, "C3", (n,))
-        # total = 2*d1 + k = 2*d0 - k
-        v = 2 * d1.lo + k
-        if v > t.lo:
-            self._raise_lo(n, TOTAL, v, "C3", (n,))
-        if d1.hi is not None:
-            v = 2 * d1.hi + k
-            if t.hi is None or v < t.hi:
-                self._lower_hi(n, TOTAL, v, "C3", (n,))
-        v = _ceil_half(t.lo - k)
-        if v > d1.lo:
-            self._raise_lo(n, 1, v, "C3", (n,))
-        if t.hi is not None:
-            v = max((t.hi - k) // 2, 0)
-            if d1.hi is None or v < d1.hi:
-                self._lower_hi(n, 1, v, "C3", (n,))
-        v = _ceil_half(t.lo + k)
-        if v > d0.lo:
-            self._raise_lo(n, 0, v, "C3", (n,))
-        if t.hi is not None:
-            v = (t.hi + k) // 2
-            if d0.hi is None or v < d0.hi:
-                self._lower_hi(n, 0, v, "C3", (n,))
-        return self._tick != tick
+        return self._apply((n,), True, False, False, False)
 
     def _c4(self, n) -> bool:
-        # Triangle (infinity, n, n+1): each total <= sum of the other two.
-        bounds = self.bounds
-        if n + 1 not in bounds:
-            return False
-        tick = self._tick
-        s3 = self._S3_TOTAL
-        for a, b in ((n, n + 1), (n + 1, n)):
-            ta = bounds[a][TOTAL]
-            tb = bounds[b][TOTAL]
-            if tb.hi is not None:
-                v = tb.hi + s3
-                if ta.hi is None or v < ta.hi:
-                    self._lower_hi(a, TOTAL, v, "C4", (b, "inf"))
-                v = s3 - tb.hi
-                if v > ta.lo:
-                    self._raise_lo(a, TOTAL, v, "C4", (b, "inf"))
-            v = tb.lo - s3
-            if v > ta.lo:
-                self._raise_lo(a, TOTAL, v, "C4", (b, "inf"))
-        return self._tick != tick
+        return self._apply((n,), False, True, False, False)
 
     def _c5(self, n) -> bool:
-        # Adjunction: the map from the anchor to S^3_{n-1} vanishes once
-        # n - 1 >= 2g - 1, forcing total(n) = total(n-1) + 1.
-        if n - 1 < 2 * self.genus - 1 or n - 1 not in self.bounds:
-            return False
-        tick = self._tick
-        prev = self.bounds[n - 1][TOTAL]
-        here = self.bounds[n][TOTAL]
-        if prev.hi is not None:
-            v = prev.hi + 1
-            if here.hi is None or v < here.hi:
-                self._lower_hi(n, TOTAL, v, "C5", (n - 1,))
-        v = prev.lo + 1
-        if v > here.lo:
-            self._raise_lo(n, TOTAL, v, "C5", (n - 1,))
-        if here.hi is not None:
-            v = here.hi - 1
-            if prev.hi is None or v < prev.hi:
-                self._lower_hi(n - 1, TOTAL, v, "C5", (n,))
-        v = here.lo - 1
-        if v > prev.lo:
-            self._raise_lo(n - 1, TOTAL, v, "C5", (n,))
-        return self._tick != tick
+        return self._apply((n,), False, False, True, False)
 
     def _c6(self, n) -> bool:
-        if n >= 0:
-            return False
-        tick = self._tick
-        d0, d1, _ = self.bounds[n]
+        return self._apply((n,), False, False, False, True)
+
+    def _apply(self, slopes, c3, c4, c5, c6, visited=None) -> bool:
+        """Visit each slope in turn and apply the flagged constraints among
+        C3-C6 there, in that order; returns whether any bound changed.
+        With `visited` (slope -> tick when its last visit began), skip a
+        visit whose window n-1..n+1 has no bound change newer than that.  Each
+        constraint run counts one application; a visit that would take
+        `applications` past MAX_APPLICATIONS is counted but not run, and
+        ends the call."""
+        bounds = self.bounds
+        raise_lo = self._raise_lo
+        lower_hi = self._lower_hi
+        changed_at = self._changed_at
         s = 2 * self.genus - 1
-        if s - n > d0.lo:
-            self._raise_lo(n, 0, s - n, "C6", ())
-        if s > d1.lo:
-            self._raise_lo(n, 1, s, "C6", ())
-        return self._tick != tick
+        top = self._hi
+        s3 = self._S3_TOTAL
+        per_visit = c3 + c4 + c5 + c6
+        start = self._tick
+        applications = self.applications
+        try:
+            for n in slopes:
+                if visited is not None:
+                    seen = visited[n]
+                    if changed_at[n - 1] <= seen and changed_at[n] <= seen and changed_at[n + 1] <= seen:
+                        continue
+                    visited[n] = self._tick
+                if applications + per_visit > MAX_APPLICATIONS:
+                    applications += per_visit
+                    break
+                d0, d1, t = bounds[n]
+                if c3:
+                    applications += 1
+                    k = abs(n)
+                    # pairwise euler coupling: d0 = d1 + k
+                    v = d1.lo + k
+                    if v > d0.lo:
+                        raise_lo(n, 0, v, "C3", (n,))
+                    if d1.hi is not None:
+                        v = d1.hi + k
+                        if d0.hi is None or v < d0.hi:
+                            lower_hi(n, 0, v, "C3", (n,))
+                    v = d0.lo - k
+                    if v > d1.lo:
+                        raise_lo(n, 1, v, "C3", (n,))
+                    if d0.hi is not None:
+                        v = max(d0.hi - k, 0)
+                        if d1.hi is None or v < d1.hi:
+                            lower_hi(n, 1, v, "C3", (n,))
+                    # total = 2*d1 + k = 2*d0 - k
+                    v = 2 * d1.lo + k
+                    if v > t.lo:
+                        raise_lo(n, TOTAL, v, "C3", (n,))
+                    if d1.hi is not None:
+                        v = 2 * d1.hi + k
+                        if t.hi is None or v < t.hi:
+                            lower_hi(n, TOTAL, v, "C3", (n,))
+                    v = -((k - t.lo) // 2)  # ceil((t.lo - k) / 2)
+                    if v > d1.lo:
+                        raise_lo(n, 1, v, "C3", (n,))
+                    if t.hi is not None:
+                        v = max((t.hi - k) // 2, 0)
+                        if d1.hi is None or v < d1.hi:
+                            lower_hi(n, 1, v, "C3", (n,))
+                    v = -((-t.lo - k) // 2)  # ceil((t.lo + k) / 2)
+                    if v > d0.lo:
+                        raise_lo(n, 0, v, "C3", (n,))
+                    if t.hi is not None:
+                        v = (t.hi + k) // 2
+                        if d0.hi is None or v < d0.hi:
+                            lower_hi(n, 0, v, "C3", (n,))
+                if c4:
+                    applications += 1
+                    # Triangle (infinity, n, n+1): each total <= sum of the others.
+                    if n < top:
+                        u = bounds[n + 1][TOTAL]
+                        for a, ta, b, tb in ((n, t, n + 1, u), (n + 1, u, n, t)):
+                            if tb.hi is not None:
+                                v = tb.hi + s3
+                                if ta.hi is None or v < ta.hi:
+                                    lower_hi(a, TOTAL, v, "C4", (b, "inf"))
+                                v = s3 - tb.hi
+                                if v > ta.lo:
+                                    raise_lo(a, TOTAL, v, "C4", (b, "inf"))
+                            v = tb.lo - s3
+                            if v > ta.lo:
+                                raise_lo(a, TOTAL, v, "C4", (b, "inf"))
+                if c5:
+                    applications += 1
+                    # Adjunction: total(n) = total(n-1) + 1 once n - 1 >= 2g - 1 > 0.
+                    if n > s:
+                        prev = bounds[n - 1][TOTAL]
+                        if prev.hi is not None:
+                            v = prev.hi + 1
+                            if t.hi is None or v < t.hi:
+                                lower_hi(n, TOTAL, v, "C5", (n - 1,))
+                        v = prev.lo + 1
+                        if v > t.lo:
+                            raise_lo(n, TOTAL, v, "C5", (n - 1,))
+                        if t.hi is not None:
+                            v = t.hi - 1
+                            if prev.hi is None or v < prev.hi:
+                                lower_hi(n - 1, TOTAL, v, "C5", (n,))
+                        v = t.lo - 1
+                        if v > prev.lo:
+                            raise_lo(n - 1, TOTAL, v, "C5", (n,))
+                if c6:
+                    applications += 1
+                    if n < 0:
+                        if s - n > d0.lo:
+                            raise_lo(n, 0, s - n, "C6", ())
+                        if s > d1.lo:
+                            raise_lo(n, 1, s, "C6", ())
+        finally:
+            self.applications = applications
+        return self._tick != start
 
     # -- driver -----------------------------------------------------------
 
-    def _steps(self) -> list:
-        """The active constraints among C3-C6, in the order each slope gets
-        them.  C4's triangle sums read the C2 anchor, so dropping C2 drops
-        C4 as well."""
+    def _active(self) -> tuple:
+        """Whether each of C3-C6 is active; dropping C2 drops C4, whose sums read it."""
         dropped = self.dropped | ({"C4"} if "C2" in self.dropped else set())
-        steps = (("C3", self._c3), ("C4", self._c4), ("C5", self._c5), ("C6", self._c6))
-        return [step for cname, step in steps if cname not in dropped]
+        return tuple(cname not in dropped for cname in ("C3", "C4", "C5", "C6"))
+
+    def _steps(self) -> list:
+        """The active constraints among C3-C6 as one-slope calls, in order."""
+        steps = (self._c3, self._c4, self._c5, self._c6)
+        return [step for step, on in zip(steps, self._active()) if on]
 
     def solve(self) -> dict:
         """Propagate to a fixpoint; returns {slope: GradedDimZ2} over the
@@ -368,46 +385,29 @@ class ConstraintSystem:
         carries bounds against its direction by one slope per sweep; the
         alternation brings a solve down to about 4 sweeps at any range.
 
-        A visit to slope n is skipped when no slope in n-1..n+1 changed a
-        bound since the previous visit to n began.  Every constraint at n
-        reads only that window, and that visit changed nothing in it, so
-        the skipped visit would change nothing either: bounds, trace, sweep
-        count and contradictions are those of the unskipped sweeps.
-        `applications` counts the applications that ran, `sweeps` the
-        sweeps, including the last one that changed nothing.
+        Each sweep is one `_apply` call, one fused C3-C6 visit per slope,
+        skipping a visit to n when no slope in n-1..n+1 changed a bound
+        since the previous visit to n began: that visit changed nothing in
+        the window every constraint at n reads, so the skipped one would
+        change nothing either.  `applications` counts the applications that
+        ran, `sweeps` the sweeps, including the last one that changed
+        nothing.  The cap is checked once per visit, so a visit runs whole
+        or not at all.
 
-        A system built with trace=True appends a TraceEntry to `trace` for
-        every bound it tightens, in order; otherwise `trace` stays empty.
-        Each constraint calls a bound update only when its candidate is
-        strictly tighter than the current bound, so the tightenings, their
-        order, the contradictions, `sweeps` and `applications` are the same
-        with or without a trace."""
+        With trace=True every tightening appends a TraceEntry to `trace`,
+        in order; nothing else depends on the choice."""
         # C1 is a base fact with no dependencies; seed it before the
         # round-robin so the base slope's trace starts from it.
         if "C1" not in self.dropped:
             self._c1(self.lspace_slope)
-        active = self._steps()
+        active = self._active()
         order = list(range(self._lo, self._hi + 1))
-        changed_at = self._changed_at
         visited = dict.fromkeys(order, -1)  # tick when the last visit began
-        capped = False
         while True:
             self.sweeps += 1
-            start = self._tick
-            for n in order:
-                seen = visited[n]
-                if changed_at[n - 1] <= seen and changed_at[n] <= seen and changed_at[n + 1] <= seen:
-                    continue
-                visited[n] = self._tick
-                for step in active:
-                    self.applications += 1
-                    if self.applications > MAX_APPLICATIONS:
-                        capped = True
-                        break
-                    step(n)
-                if capped:
-                    break
-            if capped or self._tick == start:
+            changed = self._apply(order, *active, visited=visited)
+            capped = self.applications > MAX_APPLICATIONS
+            if capped or not changed:
                 break
             order.reverse()
         self.solved = True

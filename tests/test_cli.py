@@ -116,6 +116,17 @@ def test_catalog_int_too_long_exits_2(capsys, tmp_path, int_digit_limit):
     assert err.startswith(f"error: catalog {path}: catalog is not valid JSON")
 
 
+# A JSON true is a Python int, and 2.5 used to fail later as a bad dimension.
+@pytest.mark.parametrize("genus", ['"3"', "true", "2.5"])
+def test_catalog_genus_of_the_wrong_type_exits_2(capsys, tmp_path, genus):
+    path = tmp_path / "cat.json"
+    path.write_text('{"knots": [{"name": "k", "genus": ' + genus + ', "max_self_linking": 1}]}')
+    code, out, err = run(capsys, "dims", "--knot", "k", "--n", "0", "--z4", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: catalog {path}: knots[0] (k): genus must be an integer, got {genus}\n"
+
+
 def test_dims_z4_warning_without_lens_flag(capsys, tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(
@@ -329,6 +340,20 @@ def test_planefield_c1sq_too_long_exits_2(capsys, monkeypatch, int_digit_limit, 
         f"error: --c1sq {c1sq!r} has a numerator or denominator of more than "
         f"{int_digit_limit} digits\n"
     )
+
+
+@pytest.mark.parametrize("c1sq, cause", [
+    ("9" * 5000, "has a numerator or denominator of more than 4300 digits"),
+    ("1/" + "9" * 5000, "has a numerator or denominator of more than 4300 digits"),
+    ("9" * 4000 + "/x", "must be a rational"),
+])
+def test_planefield_long_c1sq_is_echoed_in_short(capsys, int_digit_limit, c1sq, cause):
+    code, out, err = run(capsys, "planefield", "--chi", "1", "--sigma", "0", "--c1sq", c1sq)
+    assert code == 2
+    assert out == ""
+    assert cause in err
+    assert f"{c1sq[:40]!r}... ({len(c1sq)} characters)" in err
+    assert len(err.encode()) < 200
 
 
 def test_planefield_c1sq_at_the_digit_limit_is_computed(capsys, int_digit_limit):

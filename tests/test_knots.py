@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from isurg.knots import CatalogError, KnotDescriptor, dump_catalog, load_catalog, torus_knot
@@ -45,6 +47,22 @@ def test_self_linking_invariant_rejected():
     doc = '{"knots": [{"name": "K", "genus": 2, "max_self_linking": 2, "lspace_slope": 7}]}'
     with pytest.raises(CatalogError, match="max_self_linking"):
         load_catalog(doc)
+
+
+@pytest.mark.parametrize("key", ["genus", "max_self_linking", "lspace_slope"])
+@pytest.mark.parametrize("value", ['"3"', "true", "2.5", "[1]"])
+def test_integer_fields_of_another_type_rejected(key, value):
+    entry = {"name": "K", "genus": 1, "max_self_linking": 1, "lspace_slope": 5}
+    doc = json.dumps({"knots": [entry]}).replace(f'"{key}": {entry[key]}', f'"{key}": {value}')
+    with pytest.raises(CatalogError, match=f"{key} must be an integer, got "):
+        load_catalog(doc)
+
+
+def test_null_lspace_slope_means_none():
+    doc = '{"knots": [{"name": "K", "genus": 1, "max_self_linking": 1, "lspace_slope": null}]}'
+    assert load_catalog(doc) == [KnotDescriptor("K", 1, 1)]
+    with pytest.raises(CatalogError, match="genus must be an integer, got null"):
+        load_catalog('{"knots": [{"name": "K", "genus": null, "max_self_linking": 1}]}')
 
 
 def test_unknown_key_rejected():

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isurg import oracle
 from isurg.graded import GradedDimZ2
 from isurg.oracle import (
+    CONSTRAINT_IDS,
     ContradictionError,
     DimInterval,
     NotDeterminedError,
@@ -256,6 +258,92 @@ def test_skipped_visits_change_nothing(g, m_offset, drop):
     assert solved.bounds == driven.bounds
     assert solved.sweeps == sweeps
     assert solved.applications <= applications
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_skipped_visits_change_nothing_property(data):
+    g = data.draw(st.integers(1, 4), label="g")
+    m = data.draw(st.integers(2 * g - 1, 2 * g + 9), label="m")
+    lo = data.draw(st.integers(-300, 300), label="lo")
+    hi = data.draw(st.integers(lo, 300), label="hi")
+    drop = data.draw(st.sets(st.sampled_from(CONSTRAINT_IDS)), label="drop")
+    solved = build_system(g, m, (lo, hi), drop=drop, trace=True)
+    try:
+        solved.solve()
+    except NotDeterminedError:
+        pass
+    driven = build_system(g, m, (lo, hi), drop=drop, trace=True)
+    sweeps, applications = _unskipped_sweeps(driven)
+    assert solved.trace == driven.trace
+    assert solved.bounds == driven.bounds
+    assert solved.sweeps == sweeps
+    assert solved.applications <= applications
+
+
+# (applications, sweeps, trace length) of a traced solve, for every single
+# drop, two double drops and a range above 0.  A change to the sweep order,
+# the skip rule or how applications are counted shows here.
+WORK = [
+    (1, 5, (-10, 10), (), (324, 4, 173)),
+    (1, 5, (-10, 10), ('C1',), (264, 4, 97)),
+    (1, 5, (-10, 10), ('C2',), (225, 3, 120)),
+    (1, 7, (-30, 30), ('C3',), (507, 3, 176)),
+    (2, 5, (-20, 20), ('C4',), (399, 3, 214)),
+    (1, 5, (-10, 10), ('C5',), (252, 4, 171)),
+    (2, 5, (-20, 20), ('C6',), (429, 4, 244)),
+    (2, 7, (-25, 25), ('C3', 'C5'), (286, 3, 125)),
+    (3, 8, (-25, 25), ('C4', 'C6'), (266, 3, 177)),
+    (2, 3, (4, 40), (), (404, 4, 277)),
+    (3, 11, (-300, 300), (), (7324, 4, 4245)),
+    (4, 7, (-1000, 1500), (), (28116, 4, 17049)),
+]
+
+
+@pytest.mark.parametrize("g, m, slope_range, drop, work", WORK)
+def test_work_done_is_pinned(g, m, slope_range, drop, work):
+    system = build_system(g, m, slope_range, drop=drop, trace=True)
+    try:
+        system.solve()
+    except NotDeterminedError:
+        pass
+    assert (system.applications, system.sweeps, len(system.trace)) == work
+
+
+def test_capped_solve_says_so(monkeypatch):
+    # 28 padded slopes take 112 applications a sweep; the solve needs 324.
+    monkeypatch.setattr(oracle, "MAX_APPLICATIONS", 150)
+    system = build_system(1, 5, (-10, 10))
+    with pytest.raises(NotDeterminedError, match="^application cap reached"):
+        system.solve()
+    assert system.applications > oracle.MAX_APPLICATIONS
+
+
+def test_cap_stops_a_solve_between_visits(monkeypatch):
+    # Each visit counts its four applications before it runs, so caps 148 to
+    # 151 all refuse the visit that would bring the count to 152, and none of
+    # that visit runs.
+    outcomes = []
+    for cap in range(148, 152):
+        monkeypatch.setattr(oracle, "MAX_APPLICATIONS", cap)
+        system = build_system(1, 5, (-10, 10), trace=True)
+        with pytest.raises(NotDeterminedError, match="^application cap reached"):
+            system.solve()
+        outcomes.append((system.applications, system.trace, system.bounds))
+    assert outcomes[0][0] == 152
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+def test_cap_in_the_confirming_sweep_still_returns_every_slope(monkeypatch):
+    # The last visit of a solve belongs to the sweep that changes nothing;
+    # a cap that refuses only that visit stops the solve but loses nothing.
+    full = build_system(2, 7, (-25, 25))
+    expected = full.solve()
+    monkeypatch.setattr(oracle, "MAX_APPLICATIONS", full.applications - 1)
+    capped = build_system(2, 7, (-25, 25))
+    assert capped.solve() == expected
+    assert capped.applications == full.applications > oracle.MAX_APPLICATIONS
+    assert capped.sweeps == full.sweeps
 
 
 def _outcome(system):
