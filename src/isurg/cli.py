@@ -7,10 +7,11 @@ JSON output, including the exit-3 report, has exactly the layout of
 byte-stable.  Result rows are written as they are computed, so `dims`
 holds one row at a time at any range, and a reader that closes stdout
 early (`isurg dims ... | head -1`) stops a long range there and ends
-the run quietly with exit 0.  A `dims` row is a flat tuple of ints.
-Once per record, a sample row goes through the writer that formats every
-other command's dict rows, with each int as a `%d` slot; each row is
-then one `template % row` and one `write`.  Exit codes: 0 success, 2
+the run quietly with exit 0.  A `dims` row is a flat tuple of ints from
+`surgery.dims_rows`, which computes a range one closed-form regime at a
+time.  Once per record, a sample row goes through the writer that formats
+every other command's dict rows, with each int as a `%d` slot; each row
+is then one `template % row` and one `write`.  Exit codes: 0 success, 2
 usage/validation error (including a `dims` range of more than MAX_ITEMS
 slopes, a `legendrian` target tb that gives more than MAX_ITEMS rotation
 numbers, a `--c1sq` whose numerator or denominator would pass Python's
@@ -297,18 +298,7 @@ def cmd_dims(args) -> dict:
             "not marked lens_surgery=true"
         )
     inputs.update(_slope_inputs(args))
-    return _record("dims", inputs, _dims_rows(g, _slopes(args), args.z4), warnings)
-
-
-def _dims_rows(g, slopes, z4):
-    """The rows of `dims` as flat int tuples, computed one at a time as
-    `_emit` asks for them."""
-    if z4:
-        for n in slopes:
-            yield (n,) + surgery.dims_z2(g, n).entries() + surgery.dims_z4(g, n).entries()
-    else:
-        for n in slopes:
-            yield (n,) + surgery.dims_z2(g, n).entries()
+    return _record("dims", inputs, surgery.dims_rows(g, _slopes(args), args.z4), warnings)
 
 
 def _dims_row(row: tuple) -> dict:

@@ -88,27 +88,36 @@ def load_catalog(source: str) -> list:
         unknown = set(entry) - set(_REQUIRED) - set(_OPTIONAL)
         if unknown:
             raise CatalogError(f"knots[{i}]: unknown keys {sorted(unknown)}")
+        name = entry["name"]
+        if type(name) is not str:
+            raise CatalogError(f"knots[{i}]: name must be a string, got {json.dumps(name)[:40]}")
         for key in _INTEGERS:
             value = entry.get(key)
             # A JSON true is a bool, which Python counts as an int; a null
             # lspace_slope means none, as an absent one does.
             if type(value) is not int and (value is not None or key in _REQUIRED):
                 raise CatalogError(
-                    f"knots[{i}] ({entry.get('name', '?')}): {key} must be an "
-                    f"integer, got {json.dumps(value)[:40]}"
+                    f"knots[{i}] ({name}): {key} must be an integer, "
+                    f"got {json.dumps(value)[:40]}"
                 )
+        lens = entry.get("lens_surgery", False)
+        if type(lens) is not bool:  # "false" would otherwise count as true
+            raise CatalogError(
+                f"knots[{i}] ({name}): lens_surgery must be true or false, "
+                f"got {json.dumps(lens)[:40]}"
+            )
         try:
             out.append(
                 KnotDescriptor(
-                    name=entry["name"],
+                    name=name,
                     genus=entry["genus"],
                     max_self_linking=entry["max_self_linking"],
                     lspace_slope=entry.get("lspace_slope"),
-                    lens_surgery=bool(entry.get("lens_surgery", False)),
+                    lens_surgery=lens,
                 )
             )
         except ValueError as e:
-            raise CatalogError(f"knots[{i}] ({entry.get('name', '?')}): {e}") from e
+            raise CatalogError(f"knots[{i}] ({name}): {e}") from e
     return out
 
 

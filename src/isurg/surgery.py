@@ -3,6 +3,12 @@
 All floor/ceiling arithmetic rounds toward -inf/+inf respectively, which
 matters for negative surgery coefficients; Python's // already floors, and
 ceil_div below is its mirror.
+
+`dims_z2`, `dims_z4` and `lens_space_dims` give one slope as a validated
+graded vector.  `dims_rows` gives a whole range of slopes as flat int
+tuples, the rows of `isurg dims`: the closed forms have four regimes
+(n <= -1, n = 0, 1 <= n <= 2g-1, n >= 2g), and each regime's rows come
+from one generator expression, with no call and no vector per row.
 """
 
 from __future__ import annotations
@@ -46,6 +52,51 @@ def dims_z4(g: int, n: int) -> GradedDimZ4:
     if n <= 2 * g - 1:
         return GradedDimZ4(g, g - _ceil_div(n, 2), g - 1, g - 1 - n // 2)
     return lens_space_dims(n)
+
+
+def dims_rows(g: int, slopes: range, z4: bool):
+    """The rows (n, z2_d0, z2_d1[, z4_d0..z4_d3]) of `dims_z2` (and, with
+    `z4`, `dims_z4`) for each n of `slopes`, a range of step 1, yielded
+    lazily one regime at a time.
+
+    Within a regime every entry is monotone in n, so when the rows at the
+    regime's two ends in `slopes` are valid graded vectors (nonnegative
+    ints), so is every row between them.  Those two rows are built through
+    `dims_z2`/`dims_z4` before the regime's first row is yielded, so a
+    genus below 1 raises their ValueError on the first draw.
+    """
+    h, k = 2 * g - 1, g - 1
+    lo, hi = slopes.start, slopes.stop - 1
+    ns = _checked(g, z4, lo, min(hi, -1))
+    if z4:
+        yield from ((n, h - n, h, g + (-n) // 2, k, g + (-1 - n) // 2, g) for n in ns)
+    else:
+        yield from ((n, h - n, h) for n in ns)
+    ns = _checked(g, z4, max(lo, 0), min(hi, 0))
+    if z4:
+        yield from ((n, h, h, k, k, g, g) for n in ns)
+    else:
+        yield from ((n, h, h) for n in ns)
+    ns = _checked(g, z4, max(lo, 1), min(hi, h))
+    if z4:
+        yield from ((n, h, h - n, g, g - (n + 1) // 2, k, k - n // 2) for n in ns)
+    else:
+        yield from ((n, h, h - n) for n in ns)
+    ns = _checked(g, z4, max(lo, h + 1), hi)
+    if z4:
+        yield from ((n, n, 0, (n + 2) // 2, 0, (n - 1) // 2, 0) for n in ns)
+    else:
+        yield from ((n, n, 0) for n in ns)
+
+
+def _checked(g: int, z4: bool, a: int, b: int) -> range:
+    """range(a, b + 1), once the graded vectors at a and b are built."""
+    if a <= b:
+        for n in (a, b):
+            dims_z2(g, n)
+            if z4:
+                dims_z4(g, n)
+    return range(a, b + 1)
 
 
 def lens_space_dims(n: int) -> GradedDimZ4:

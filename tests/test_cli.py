@@ -59,10 +59,11 @@ def test_dims_invalid_genus(capsys):
 
 @pytest.mark.parametrize("slope_range", ["0:1000000", "0:100000000"])
 def test_dims_too_wide_range_exits_2(capsys, monkeypatch, slope_range):
-    def no_rows(g, n):
+    def no_rows(g, slopes, z4):
         raise AssertionError("a row was computed")
+        yield
 
-    monkeypatch.setattr(surgery, "dims_z2", no_rows)
+    monkeypatch.setattr(surgery, "dims_rows", no_rows)
     code, out, err = run(capsys, "dims", "--genus", "2", "--range", slope_range, "--z4")
     assert code == 2
     assert out == ""
@@ -125,6 +126,28 @@ def test_catalog_genus_of_the_wrong_type_exits_2(capsys, tmp_path, genus):
     assert code == 2
     assert out == ""
     assert err == f"error: catalog {path}: knots[0] (k): genus must be an integer, got {genus}\n"
+
+
+# "false" is a non-empty string: read with bool() it counted as true and
+# dropped the lens-hypothesis warning.
+@pytest.mark.parametrize("lens", ['"false"', '"true"', "0", "null", "[]"])
+def test_catalog_lens_surgery_of_the_wrong_type_exits_2(capsys, tmp_path, lens):
+    path = tmp_path / "cat.json"
+    path.write_text('{"knots": [{"name": "k", "genus": 1, "max_self_linking": 1, "lens_surgery": '
+                    + lens + "}]}")
+    code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--z4", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: catalog {path}: knots[0] (k): lens_surgery must be true or false, got {lens}\n"
+
+
+def test_catalog_name_of_the_wrong_type_exits_2(capsys, tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text('{"knots": [{"name": ["k"], "genus": 1, "max_self_linking": 1}]}')
+    code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f'error: catalog {path}: knots[0]: name must be a string, got ["k"]\n'
 
 
 def test_dims_z4_warning_without_lens_flag(capsys, tmp_path):
@@ -506,13 +529,14 @@ def test_dims_streams_in_bounded_memory(capsys, monkeypatch, fmt):
 @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
 def test_dims_writes_the_first_row_before_computing_the_last(capsys, monkeypatch, fmt):
     computed = []
-    dims_z4 = surgery.dims_z4
+    dims_rows = surgery.dims_rows
 
-    def counted_dims_z4(g, n):
-        computed.append(n)
-        return dims_z4(g, n)
+    def counted_dims_rows(g, slopes, z4):
+        for row in dims_rows(g, slopes, z4):
+            computed.append(row[0])
+            yield row
 
-    monkeypatch.setattr(surgery, "dims_z4", counted_dims_z4)
+    monkeypatch.setattr(surgery, "dims_rows", counted_dims_rows)
     rows_at_write = []
     sink = SimpleNamespace(write=lambda text: rows_at_write.append(len(computed)), flush=lambda: None)
     monkeypatch.setattr(sys, "stdout", sink)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -63,6 +64,27 @@ def test_null_lspace_slope_means_none():
     assert load_catalog(doc) == [KnotDescriptor("K", 1, 1)]
     with pytest.raises(CatalogError, match="genus must be an integer, got null"):
         load_catalog('{"knots": [{"name": "K", "genus": null, "max_self_linking": 1}]}')
+
+
+@pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null", "[]"])
+def test_lens_surgery_of_another_type_rejected(value):
+    doc = '{"knots": [{"name": "K", "genus": 1, "max_self_linking": 1, "lens_surgery": ' + value + "}]}"
+    with pytest.raises(CatalogError, match=re.escape(f"lens_surgery must be true or false, got {value}")):
+        load_catalog(doc)
+
+
+@pytest.mark.parametrize("lens", [True, False])
+def test_lens_surgery_bools_load(lens):
+    doc = json.dumps({"knots": [{"name": "K", "genus": 1, "max_self_linking": 1, "lens_surgery": lens}]})
+    (k,) = load_catalog(doc)
+    assert k.lens_surgery is lens
+
+
+@pytest.mark.parametrize("value", ['["K"]', "1", "null", "true", '{"n": "K"}'])
+def test_name_of_another_type_rejected(value):
+    doc = '{"knots": [{"name": ' + value + ', "genus": 1, "max_self_linking": 1}]}'
+    with pytest.raises(CatalogError, match=r"knots\[0\]: name must be a string, got "):
+        load_catalog(doc)
 
 
 def test_unknown_key_rejected():

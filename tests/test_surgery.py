@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from isurg import surgery
 from isurg.graded import GradedDimZ2, GradedDimZ4, collapse_z4_to_z2, dual_z4, euler_z2
-from isurg.surgery import dims_z2, dims_z4, lens_space_dims, trefoil_one_over_n
+from isurg.surgery import dims_rows, dims_z2, dims_z4, lens_space_dims, trefoil_one_over_n
 
 
 def test_dims_z2_examples():
@@ -81,3 +84,80 @@ def test_z4_nonhomogeneity_witness():
     # 1, so two independent contact classes cannot both be homogeneous.
     w = dual_z4(dims_z4(1, -1), 0)
     assert all(e <= 1 for e in w.entries())
+
+
+HUGE_GENUS = 3 * 10**200 + 1
+
+
+def _row(g, n, z4):
+    return (n,) + dims_z2(g, n).entries() + (dims_z4(g, n).entries() if z4 else ())
+
+
+# A window anchored at a regime boundary (-1, 0, 1, 2g-1 or 2g) and moved
+# by up to 6 slopes either way either crosses that boundary or stays
+# inside one regime; width 0 is a one-slope range.
+@given(
+    g=st.sampled_from([1, 2, 3, 4, 5, 6, HUGE_GENUS]),
+    anchor=st.sampled_from(["-1", "0", "1", "2g-1", "2g"]),
+    offset=st.integers(-6, 6),
+    width=st.integers(0, 14),
+    z4=st.booleans(),
+)
+@example(g=3, anchor="0", offset=-4, width=14, z4=True)  # -4..10: every regime
+@example(g=3, anchor="-1", offset=-6, width=4, z4=True)  # -7..-3: n <= -1 only
+@example(g=3, anchor="0", offset=0, width=0, z4=False)  # 0: n = 0 only
+@example(g=3, anchor="1", offset=1, width=2, z4=True)  # 2..4: 1 <= n <= 2g-1 only
+@example(g=3, anchor="2g", offset=2, width=9, z4=False)  # 8..17: n >= 2g only
+@example(g=HUGE_GENUS, anchor="2g-1", offset=-1, width=3, z4=True)
+def test_dims_rows_match_the_closed_forms(g, anchor, offset, width, z4):
+    lo = {"-1": -1, "0": 0, "1": 1, "2g-1": 2 * g - 1, "2g": 2 * g}[anchor] + offset
+    slopes = range(lo, lo + width + 1)
+    rows = list(dims_rows(g, slopes, z4))
+    assert rows == [_row(g, n, z4) for n in slopes]
+    assert all(type(x) is int for row in rows for x in row)
+
+
+def test_dims_rows_are_lazy_within_a_regime():
+    # Each regime of this range holds 10**12 slopes or more.
+    rows = dims_rows(2, range(-10**12, 10**12), True)
+    assert next(rows) == _row(2, -10**12, True)
+    assert next(rows) == _row(2, -10**12 + 1, True)
+
+
+@pytest.mark.parametrize("g", [0, -3])
+def test_dims_rows_refuse_a_bad_genus_on_the_first_draw(g):
+    rows = dims_rows(g, range(-2, 3), False)
+    with pytest.raises(ValueError, match="genus must be >= 1"):
+        next(rows)
+
+
+@pytest.mark.parametrize("z4", [False, True])
+def test_dims_rows_build_the_end_rows_of_each_regime(monkeypatch, z4):
+    built = {"dims_z2": [], "dims_z4": []}
+
+    def recorded(name):
+        closed_form = getattr(surgery, name)
+
+        def build(g, n):
+            built[name].append(n)
+            return closed_form(g, n)
+
+        return build
+
+    for name in built:
+        monkeypatch.setattr(surgery, name, recorded(name))
+    first = next(dims_rows(2, range(-3, 7), z4))
+    # Only the first regime's ends are built before its first row.
+    assert (first, built["dims_z2"]) == (_row(2, -3, z4), [-3, -1])
+    list(dims_rows(2, range(-3, 7), z4))
+    # -3..-1, 0, 1..3 and 4..6; a one-slope regime is built twice.
+    assert sorted(set(built["dims_z2"])) == [-3, -1, 0, 1, 3, 4, 6]
+    assert sorted(set(built["dims_z4"])) == ([-3, -1, 0, 1, 3, 4, 6] if z4 else [])
+
+
+def test_dims_rows_check_the_end_rows_of_each_regime():
+    # A genus that is not an int gives entries that are not ints; the
+    # graded vector built at a regime's end refuses them before any row.
+    rows = dims_rows(2.5, range(3, 6), False)
+    with pytest.raises(ValueError, match="d0 must be a nonnegative integer, got 4.0"):
+        next(rows)
