@@ -118,7 +118,7 @@ def test_dims_rows_match_the_closed_forms(g, anchor, offset, width, z4):
 
 
 def test_dims_rows_are_lazy_within_a_regime():
-    # Each regime of this range holds 10**12 slopes or more.
+    # The first regime of this range alone holds 10**12 slopes.
     rows = dims_rows(2, range(-10**12, 10**12), True)
     assert next(rows) == _row(2, -10**12, True)
     assert next(rows) == _row(2, -10**12 + 1, True)
