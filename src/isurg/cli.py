@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Subcommands: dims, triangle, oracle, legendrian, planefield, trefoil.
+Each is one entry of the `_COMMANDS` table (help, arguments, TSV columns)
+and one `cmd_<name>`, which imports the modules it computes with when it
+runs.  The parser is built from the table once per process and reused.
 Output is a human-readable table by default; --format json|tsv switches.
 JSON output, including the exit-3 report, has exactly the layout of
 `json.dumps(record, indent=2)` (non-ASCII characters escaped) and is
@@ -18,7 +21,8 @@ numbers, a `--c1sq` whose numerator or denominator would pass Python's
 limit on int digits, and a result holding an integer too long for Python
 to convert to text, after which the part of the record already written
 stays on stdout, in every format, and any warning still reaches stderr),
-3 mathematical failure (contradiction or undetermined oracle).
+3 mathematical failure (contradiction or undetermined oracle).  A usage
+error echoes at most the first 40 characters of a bad argument.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import graded, knots, legendrian, oracle, planefield, surgery, triangle
+from . import surgery
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,17 +53,6 @@ class UsageError(Exception):
 
 
 # -- output formatting ----------------------------------------------------
-
-# Fixed TSV column order per command.
-_TSV_COLUMNS = {
-    "dims": ["n", "z2_d0", "z2_d1", "z4_d0", "z4_d1", "z4_d2", "z4_d3", "provenance"],
-    "oracle": ["n", "z2_d0", "z2_d1", "agrees", "provenance"],
-    "triangle": ["n", "deg_surgery", "deg_to_s3", "deg_from_s3", "d_spin_surgery", "d_spin_other", "provenance"],
-    "legendrian": ["tb", "rot", "target_tb", "rotations", "chern_count", "provenance"],
-    "planefield": ["delta", "contact_grading", "d3", "rho", "provenance"],
-    "trefoil": ["n", "z2_d0", "z2_d1", "provenance"],
-}
-
 
 _ESCAPE = json.encoder.encode_basestring_ascii  # the stdlib's C escaper
 
@@ -123,7 +116,7 @@ def _emit(record: dict, fmt: str) -> None:
     for w in record["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     if fmt == "tsv":
-        cols = _TSV_COLUMNS[record["command"]]
+        cols = _COMMANDS[record["command"]][1].split()
         write("\t".join(cols) + "\n")
         _write_rows(record["results"], lambda res: _tsv_row(res, cols))
         return
@@ -206,14 +199,27 @@ def _row_template(render, width: int) -> str:
 
 # -- argument helpers -----------------------------------------------------
 
+def _shown(text: str) -> str:
+    """`repr(text)`, cut to its first 40 characters when it is longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def _int(text: str) -> int:
+    """`int` for an argument, with argparse's message for a bad one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
+
+
 def _parse_range(text: str):
     try:
         a, b = text.split(":")
         lo, hi = int(a), int(b)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"range must look like A:B, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must look like A:B, got {_shown(text)}")
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {_shown(text)}")
     return lo, hi
 
 
@@ -237,7 +243,8 @@ def _preprocess(argv):
     return out
 
 
-def _resolve_knot(args) -> knots.KnotDescriptor:
+def _resolve_knot(args):
+    from . import knots
     spec_str = args.knot
     if spec_str.startswith("torus:"):
         try:
@@ -264,22 +271,15 @@ def _resolve_knot(args) -> knots.KnotDescriptor:
     raise UsageError(f"knot {spec_str!r} not found in catalog {path}")
 
 
-def _slopes(args):
-    if args.n is not None:
-        return range(args.n, args.n + 1)
-    return range(args.range[0], args.range[1] + 1)
-
-
 # -- subcommands ----------------------------------------------------------
 
 def cmd_dims(args) -> dict:
-    if args.range:
-        lo, hi = args.range
-        if hi - lo + 1 > MAX_ITEMS:
-            raise UsageError(
-                f"slope range too wide: {lo}:{hi} holds {hi - lo + 1} slopes, "
-                f"more than the limit of {MAX_ITEMS}"
-            )
+    lo, hi = (args.n, args.n) if args.range is None else args.range
+    if hi - lo + 1 > MAX_ITEMS:
+        raise UsageError(
+            f"slope range too wide: {lo}:{hi} holds {hi - lo + 1} slopes, "
+            f"more than the limit of {MAX_ITEMS}"
+        )
     warnings = []
     if args.knot:
         k = _resolve_knot(args)
@@ -297,8 +297,8 @@ def cmd_dims(args) -> dict:
             "Z/4 gradings assume a positive lens-space surgery; this knot is "
             "not marked lens_surgery=true"
         )
-    inputs.update(_slope_inputs(args))
-    return _record("dims", inputs, surgery.dims_rows(g, _slopes(args), args.z4), warnings)
+    inputs.update({"n": lo} if args.range is None else {"range": [lo, hi]})
+    return _record("dims", inputs, surgery.dims_rows(g, range(lo, hi + 1), args.z4), warnings)
 
 
 def _dims_row(row: tuple) -> dict:
@@ -309,6 +309,7 @@ def _dims_row(row: tuple) -> dict:
 
 
 def cmd_triangle(args) -> dict:
+    from . import triangle
     n = args.n
     degs = triangle.triangle_degrees(n)
     res = {
@@ -324,6 +325,7 @@ def cmd_triangle(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
+    from . import oracle
     g = args.genus
     m = args.lspace_slope
     if g < 1:
@@ -364,6 +366,7 @@ def cmd_oracle(args) -> dict:
 
 
 def cmd_legendrian(args) -> dict:
+    from . import legendrian
     n_rots = args.tb - args.target_tb + 1
     if n_rots > MAX_ITEMS:
         raise UsageError(
@@ -376,23 +379,13 @@ def cmd_legendrian(args) -> dict:
         count = legendrian.distinct_chern_count(rep, args.target_tb)
     except ValueError as e:
         raise UsageError(str(e))
-    res = {
-        "tb": args.tb,
-        "rot": args.rot,
-        "target_tb": args.target_tb,
-        "rotations": rots,
-        "chern_count": count,
-        "provenance": "prop41",
-    }
-    return _record(
-        "legendrian",
-        {"tb": args.tb, "rot": args.rot, "target_tb": args.target_tb},
-        [res],
-        [],
-    )
+    inputs = {"tb": args.tb, "rot": args.rot, "target_tb": args.target_tb}
+    res = {**inputs, "rotations": rots, "chern_count": count, "provenance": "prop41"}
+    return _record("legendrian", inputs, [res], [])
 
 
 def cmd_planefield(args) -> dict:
+    from . import planefield
     c1sq = None if args.c1sq is None else _rational(args.c1sq)
     try:
         f = planefield.FillingData(args.chi, args.sigma, args.b1, c1sq)
@@ -427,7 +420,7 @@ def _rational(text: str) -> Fraction:
     that limit already bounds; the error names the limit then too.  Errors
     echo at most the first 40 characters of the text.
     """
-    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+    shown = _shown(text)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     too_long = f"--c1sq {shown} has a numerator or denominator of more than {limit} digits"
     if limit and "/" not in text:
@@ -456,12 +449,6 @@ def cmd_trefoil(args) -> dict:
     return _record("trefoil", {"n": args.n}, [res], [])
 
 
-def _slope_inputs(args):
-    if args.n is not None:
-        return {"n": args.n}
-    return {"range": list(args.range)}
-
-
 def _record(command, inputs, results, warnings) -> dict:
     return {
         "command": command,
@@ -481,7 +468,47 @@ class MathError(Exception):
 
 # -- parser ---------------------------------------------------------------
 
+_INT = {"type": _int}
+_REQUIRED_INT = {"type": _int, "required": True}
+_RANGE = {"type": _parse_range, "metavar": "A:B"}
+
+# One entry per subcommand: (help, TSV columns in order, arguments).  An
+# argument is a (flag, keywords) pair; a list of pairs is a group of which
+# exactly one must be given.  `_main` runs `cmd_<name>`.
+_COMMANDS = {
+    "dims": ("closed-form graded dimensions of surgeries",
+             "n z2_d0 z2_d1 z4_d0 z4_d1 z4_d2 z4_d3 provenance",
+             [[("--genus", _INT), ("--knot", {"help": "catalog name or torus:P,Q"})],
+              [("--n", _INT), ("--range", _RANGE)],
+              ("--z4", {"action": "store_true", "help": "include Z/4 gradings"}),
+              ("--catalog", {"help": f"catalog file (or ${CATALOG_ENV})"})]),
+    "triangle": ("Z/4 degree table of the surgery triangle",
+                 "n deg_surgery deg_to_s3 deg_from_s3 d_spin_surgery d_spin_other provenance",
+                 [("--n", _REQUIRED_INT)]),
+    "oracle": ("re-derive dimensions by constraint propagation",
+               "n z2_d0 z2_d1 agrees provenance",
+               [("--genus", _REQUIRED_INT), ("--lspace-slope", _REQUIRED_INT),
+                ("--range", {**_RANGE, "required": True}),
+                ("--trace", {"action": "store_true"}),
+                # oracle.CONSTRAINT_IDS, written out so that parsing does not
+                # import the oracle; tests/test_cli.py checks that they agree.
+                ("--drop-constraint", {"action": "append", "metavar": "Ck",
+                                       "choices": ["C1", "C2", "C3", "C4", "C5", "C6"]})]),
+    "legendrian": ("rotation numbers after stabilization",
+                   "tb rot target_tb rotations chern_count provenance",
+                   [("--tb", _REQUIRED_INT), ("--rot", _REQUIRED_INT),
+                    ("--target-tb", _REQUIRED_INT)]),
+    "planefield": ("plane-field invariants from filling data",
+                   "delta contact_grading d3 rho provenance",
+                   [("--chi", _REQUIRED_INT), ("--sigma", _REQUIRED_INT),
+                    ("--b1", {**_INT, "default": 0}), ("--c1sq", {})]),
+    "trefoil": ("1/n-surgery on the right-handed trefoil", "n z2_d0 z2_d1 provenance",
+                [("--n", _REQUIRED_INT)]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the commands of `_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="isurg",
         description="Graded instanton surgery dimensions, degree tables, and "
@@ -489,52 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["table", "json", "tsv"], default="table")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="closed-form graded dimensions of surgeries")
-    who = p.add_mutually_exclusive_group(required=True)
-    who.add_argument("--genus", type=int)
-    who.add_argument("--knot", help="catalog name or torus:P,Q")
-    where = p.add_mutually_exclusive_group(required=True)
-    where.add_argument("--n", type=int)
-    where.add_argument("--range", type=_parse_range, metavar="A:B")
-    p.add_argument("--z4", action="store_true", help="include Z/4 gradings")
-    p.add_argument("--catalog", help=f"catalog file (or ${CATALOG_ENV})")
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("triangle", help="Z/4 degree table of the surgery triangle")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_triangle)
-
-    p = sub.add_parser("oracle", help="re-derive dimensions by constraint propagation")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--lspace-slope", type=int, required=True)
-    p.add_argument("--range", type=_parse_range, metavar="A:B", required=True)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument(
-        "--drop-constraint",
-        action="append",
-        choices=list(oracle.CONSTRAINT_IDS),
-        metavar="Ck",
-    )
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("legendrian", help="rotation numbers after stabilization")
-    p.add_argument("--tb", type=int, required=True)
-    p.add_argument("--rot", type=int, required=True)
-    p.add_argument("--target-tb", type=int, required=True)
-    p.set_defaults(func=cmd_legendrian)
-
-    p = sub.add_parser("planefield", help="plane-field invariants from filling data")
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--b1", type=int, default=0)
-    p.add_argument("--c1sq")
-    p.set_defaults(func=cmd_planefield)
-
-    p = sub.add_parser("trefoil", help="1/n-surgery on the right-handed trefoil")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_trefoil)
-
+    for name, (help_text, _, args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in args:
+            into, pairs = p, [arg]
+            if type(arg) is list:
+                into, pairs = p.add_mutually_exclusive_group(required=True), arg
+            for flag, keywords in pairs:
+                into.add_argument(flag, **keywords)
     return parser
 
 
@@ -551,13 +540,19 @@ def main(argv=None) -> int:
         return EXIT_OK
 
 
+_parser = None  # built by the first call of _main and kept for the next ones
+
+
 def _main(argv) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_preprocess(argv))
+    args = _parser.parse_args(_preprocess(argv))
     try:
-        record = args.func(args)
+        # Looked up now, so that a replaced cmd_<name> is the one that runs.
+        record = globals()["cmd_" + args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

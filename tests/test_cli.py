@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from isurg import cli, legendrian, surgery
+from isurg import cli, legendrian, oracle, surgery
 from isurg.knots import dump_catalog, torus_knot
 
 SCHEMA = json.loads(resources.files("isurg").joinpath("schema.json").read_text())
@@ -434,6 +435,137 @@ def test_bad_range_exits_2(capsys):
         cli.main(["dims", "--genus", "1", "--range", "5:1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def run_exit(capsys, *argv):
+    """main(argv) for an argument that argparse refuses; (code, out, err)."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, length", [
+    (["triangle", "--n", "9" * 5000], 5000),
+    (["legendrian", "--tb", "1", "--rot", "x" * 5000, "--target-tb", "0"], 5000),
+    (["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "0:" + "9" * 5000], 5002),
+    (["dims", "--genus", "1", "--range", "9" * 4000 + ":0"], 4002),  # a valid, empty range
+])
+def test_long_bad_argument_is_echoed_in_short(capsys, argv, length):
+    code, out, err = run_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err) < 300
+    assert err.endswith(f"... ({length} characters)\n")
+
+
+@pytest.mark.parametrize("token", ["abc", "", "1.5", "x" * 40])
+def test_short_bad_int_keeps_the_argparse_message(capsys, token):
+    ref = argparse.ArgumentParser(prog="isurg triangle", exit_on_error=False)
+    ref.add_argument("--n", type=int, required=True)
+    with pytest.raises(argparse.ArgumentError) as exc:
+        ref.parse_args(["--n", token])
+    code, _, err = run_exit(capsys, "triangle", "--n", token)
+    assert code == 2
+    assert err == f"usage: isurg triangle [-h] --n N\nisurg triangle: error: {exc.value}\n"
+    assert err.endswith(f"invalid int value: {token!r}\n")
+
+
+def test_bad_int_of_41_characters_is_cut(capsys):
+    code, _, err = run_exit(capsys, "triangle", "--n", "x" * 41)
+    assert code == 2
+    assert err.endswith(f"invalid int value: {'x' * 40!r}... (41 characters)\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a:b", "range must look like A:B, got 'a:b'"),
+    ("1:2:3", "range must look like A:B, got '1:2:3'"),
+    ("5:1", "empty range '5:1'"),
+])
+def test_short_bad_range_message_is_unchanged(capsys, text, message):
+    code, _, err = run_exit(capsys, "dims", "--genus", "1", "--range", text)
+    assert code == 2
+    assert err.endswith(f"isurg dims: error: argument --range: {message}\n")
+
+
+def test_drop_constraint_accepts_exactly_the_oracle_ids(capsys):
+    base = ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "0:1"]
+    parser = cli.build_parser()
+    for cid in oracle.CONSTRAINT_IDS:
+        assert parser.parse_args([*base, "--drop-constraint", cid]).drop_constraint == [cid]
+    # The message lists the choices, so it also tells a missing or extra id.
+    ref = argparse.ArgumentParser(prog="isurg oracle", exit_on_error=False)
+    ref.add_argument("--drop-constraint", action="append", metavar="Ck",
+                     choices=list(oracle.CONSTRAINT_IDS))
+    with pytest.raises(argparse.ArgumentError) as exc:
+        ref.parse_args(["--drop-constraint", "C7"])
+    code, out, err = run_exit(capsys, *base, "--drop-constraint", "C7")
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"\nisurg oracle: error: {exc.value}\n")
+
+
+def test_calls_stay_independent_once_the_parser_is_kept(capsys):
+    cli.main(["trefoil", "--n", "1"])
+    capsys.readouterr()
+    kept = cli._parser
+    assert kept is not None
+    argv = ["--format", "json", "oracle", "--genus", "2", "--lspace-slope", "6", "--range", "-8:8"]
+    for _ in range(2):
+        code, out, _ = run(capsys, *argv, "--drop-constraint", "C5")
+        assert code == 3
+        assert json.loads(out)["inputs"]["dropped"] == ["C5"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["inputs"]["dropped"] == []
+
+    code, out, err = run_exit(capsys, "dims", "--genus", "2", "--knot", "torus:2,3", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+    code, out, err = run(capsys, "dims", "--genus", "2", "--n", "1")
+    assert (code, out, err) == (0, "n=1  z2_d0=3  z2_d1=2  provenance=eq1\n", "")
+
+    code, out, _ = run(capsys, "--format", "json", "trefoil", "--n", "3")
+    assert code == 0
+    assert json.loads(out)["results"][0]["z2"] == [3, 2]
+    code, out, _ = run(capsys, "trefoil", "--n", "3")
+    assert (code, out) == (0, "n=3  z2_d0=3  z2_d1=2  provenance=prop61\n")
+    assert cli._parser is kept
+
+
+def test_a_replaced_command_runs_once_the_parser_is_kept(capsys, monkeypatch):
+    assert cli.build_parser() is not cli.build_parser()
+    assert run(capsys, "trefoil", "--n", "1")[0] == 0
+    assert cli._parser is not None
+
+    def fake_trefoil(args):
+        return cli._record("trefoil", {"n": args.n}, [{"n": -args.n}], [])
+
+    monkeypatch.setattr(cli, "cmd_trefoil", fake_trefoil)
+    assert run(capsys, "trefoil", "--n", "4") == (0, "n=-4\n", "")
+
+
+def test_dims_imports_only_what_it_computes_with():
+    # One fresh interpreter: a module that an earlier test imported stays in
+    # this process's sys.modules.
+    script = (
+        "import json, sys\n"
+        "from isurg import cli\n"
+        "code = cli.main(['dims', '--genus', '2', '--n', '3'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('isurg'))]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    row, result = proc.stdout.splitlines()
+    assert row == "n=3  z2_d0=3  z2_d1=0  provenance=eq1"
+    code, loaded = json.loads(result)
+    assert code == 0
+    assert "isurg.surgery" in loaded
+    unused = {"isurg.oracle", "isurg.triangle", "isurg.legendrian", "isurg.planefield", "isurg.knots"}
+    assert unused.isdisjoint(loaded)
 
 
 def test_closed_pipe_exits_cleanly():
