@@ -28,6 +28,7 @@ error echoes at most the first 40 characters of a bad argument.
 from __future__ import annotations
 
 import argparse
+import ast  # already loaded: dataclasses imports it
 import json
 import os
 import re
@@ -250,7 +251,7 @@ def _resolve_knot(args):
         try:
             p, q = (int(x) for x in spec_str[len("torus:"):].split(","))
         except ValueError:
-            raise UsageError(f"torus knot must look like torus:P,Q, got {spec_str!r}")
+            raise UsageError(f"torus knot must look like torus:P,Q, got {_shown(spec_str)}")
         try:
             return knots.torus_knot(p, q)
         except ValueError as e:
@@ -258,7 +259,7 @@ def _resolve_knot(args):
     path = args.catalog or os.environ.get(CATALOG_ENV)
     if not path:
         raise UsageError(
-            f"--knot {spec_str!r} needs a catalog (--catalog or ${CATALOG_ENV})"
+            f"--knot {_shown(spec_str)} needs a catalog (--catalog or ${CATALOG_ENV})"
         )
     try:
         with open(path) as fh:
@@ -268,7 +269,7 @@ def _resolve_knot(args):
     for k in catalog:
         if k.name == spec_str:
             return k
-    raise UsageError(f"knot {spec_str!r} not found in catalog {path}")
+    raise UsageError(f"knot {_shown(spec_str)} not found in catalog {path}")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -507,9 +508,21 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a bad choice of more than 40 characters is shown
+    as `_shown` shows it, with no list of choices.  Subparsers share the class."""
+
+    def error(self, message):
+        head, sep, rest = message.partition("invalid choice: ")
+        token = rest.rpartition(" (choose from ")[0]  # argparse's repr of the token
+        if len(token) > 42 and token[-1] in "'\"":  # 40 characters in quotes, no "maybe you meant"
+            message = head + sep + _shown(ast.literal_eval(token))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the commands of `_COMMANDS`."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isurg",
         description="Graded instanton surgery dimensions, degree tables, and "
         "the constraint-propagation oracle.",

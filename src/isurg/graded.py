@@ -68,37 +68,6 @@ class GradedDimZ4(_GradedDim):
         return (self.d0, self.d1, self.d2, self.d3)
 
 
-def euler_z2(v: GradedDimZ2) -> int:
-    """Euler characteristic d0 - d1."""
-    return v.d0 - v.d1
-
-
 def collapse_z4_to_z2(v: GradedDimZ4) -> GradedDimZ2:
     """Reduce grading residues mod 2: (d0+d2, d1+d3)."""
     return GradedDimZ2(v.d0 + v.d2, v.d1 + v.d3)
-
-
-def dual_z4(v: GradedDimZ4, b1: int) -> GradedDimZ4:
-    """Duality shift i -> b1 - i on the Z/4 grading.
-
-    Entry i of the result is entry (b1 - i) mod 4 of the input.
-    """
-    if b1 < 0:
-        raise ValueError("b1 must be nonnegative")
-    e = v.entries()
-    return GradedDimZ4(*(e[(b1 - i) % 4] for i in range(4)))
-
-
-def direct_sum(u, v):
-    """Entrywise sum of two vectors of the same shape."""
-    if isinstance(u, GradedDimZ2) and isinstance(v, GradedDimZ2):
-        return GradedDimZ2(u.d0 + v.d0, u.d1 + v.d1)
-    if isinstance(u, GradedDimZ4) and isinstance(v, GradedDimZ4):
-        return GradedDimZ4(*(a + b for a, b in zip(u.entries(), v.entries())))
-    raise TypeError(f"cannot sum {type(u).__name__} with {type(v).__name__}")
-
-
-def shift_z4(v: GradedDimZ4, k: int) -> GradedDimZ4:
-    """Cyclic grading shift: entry at grading i moves to grading i + k mod 4."""
-    e = v.entries()
-    return GradedDimZ4(*(e[(i - k) % 4] for i in range(4)))

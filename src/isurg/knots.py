@@ -63,7 +63,7 @@ def torus_knot(p: int, q: int) -> KnotDescriptor:
 
 # Catalog documents are JSON: {"knots": [{...}, ...]} with per-entry keys
 # name, genus, max_self_linking, lspace_slope (optional), lens_surgery
-# (optional, default false).  dump_catalog/load_catalog round-trip.
+# (optional, default false).
 
 _REQUIRED = ("name", "genus", "max_self_linking")
 _OPTIONAL = ("lspace_slope", "lens_surgery")
@@ -120,19 +120,3 @@ def load_catalog(source: str) -> list:
             raise CatalogError(f"knots[{i}] ({name}): {e}") from e
     return out
 
-
-def dump_catalog(knots) -> str:
-    """Serialize descriptors back to catalog text (round-trip stable)."""
-    entries = []
-    for k in knots:
-        e = {
-            "name": k.name,
-            "genus": k.genus,
-            "max_self_linking": k.max_self_linking,
-        }
-        if k.lspace_slope is not None:
-            e["lspace_slope"] = k.lspace_slope
-        if k.lens_surgery:
-            e["lens_surgery"] = True
-        entries.append(e)
-    return json.dumps({"knots": entries}, indent=2) + "\n"

@@ -1,4 +1,4 @@
-"""Legendrian (tb, r) bookkeeping and the Stein lower bounds they produce.
+"""Legendrian (tb, r) bookkeeping: reachable rotation numbers and Chern counts.
 
 A stabilization sends (tb, r) to (tb - 1, r +/- 1), so tb + r stays odd.
 Stabilizing down to a target tb realizes an arithmetic progression of
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graded import GradedDimZ2
-
 
 @dataclass(frozen=True)
 class LegendrianRep:
@@ -21,21 +19,6 @@ class LegendrianRep:
     def __post_init__(self):
         if (self.tb + self.r) % 2 == 0:
             raise ValueError(f"tb + r must be odd, got tb={self.tb}, r={self.r}")
-
-    # Both classical combinations are exposed by name: the self-linking
-    # number of the transverse push-off is tb - r, while some arguments
-    # select representatives by the value of tb + r.
-    def tb_plus_r(self) -> int:
-        return self.tb + self.r
-
-    def tb_minus_r(self) -> int:
-        return self.tb - self.r
-
-
-def stabilize(rep: LegendrianRep, sign: int) -> LegendrianRep:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return LegendrianRep(rep.tb - 1, rep.r + sign)
 
 
 def _progression(rep: LegendrianRep, target_tb: int):
@@ -69,12 +52,3 @@ def distinct_chern_count(rep: LegendrianRep, target_tb: int) -> int:
     lo, hi = max(first, -last), min(last, -first)
     return 2 * count - max(0, (hi - lo) // 2 + 1)
 
-
-def prop41_lower_bound(s: int, n: int) -> GradedDimZ2:
-    """Graded lower bound for -n-surgery on a knot with maximal self-linking s:
-    at least s + n in grading 0 and s in grading 1."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return GradedDimZ2(s + n, s)

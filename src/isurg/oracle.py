@@ -49,8 +49,8 @@ over a typical solve), so an update is called only for a strictly tighter
 candidate; the tightenings and their order stay the same.
 
 The trace is built only on request (`build_system(..., trace=True)`, as
-the CLI's `--trace` does); by default `trace` stays empty, explain()
-refuses the system, and nothing else depends on the choice.
+the CLI's `--trace` does); by default `trace` stays empty, and nothing
+else depends on the choice.
 
 MAX_APPLICATIONS stays a fixed 10**6 and binds from R of about 41k on.  It
 is checked once per visit: a visit that would pass it is counted but not
@@ -144,7 +144,6 @@ class ConstraintSystem:
     trace: list = field(init=False, default_factory=list)
     applications: int = field(init=False, default=0)
     sweeps: int = field(init=False, default=0)
-    solved: bool = field(init=False, default=False)
 
     def __post_init__(self):
         if self.genus < 1:
@@ -410,7 +409,6 @@ class ConstraintSystem:
             if capped or not changed:
                 break
             order.reverse()
-        self.solved = True
         open_slopes = [
             n
             for n in range(self.lo_slope, self.hi_slope + 1)
@@ -445,18 +443,6 @@ def solve(g, m, slope_range, drop=()) -> dict:
     """Re-derive dims at every slope in slope_range for a genus-g knot with
     L-space slope m, from constraints C1-C6 alone."""
     return build_system(g, m, slope_range, drop=drop).solve()
-
-
-def explain(system: ConstraintSystem, slope: int) -> list:
-    """Trace entries that tightened the bounds at the given slope, in order.
-    The system must have been built with trace=True and solved."""
-    if not system.solved:
-        raise ValueError("solve has not run on this system")
-    if not system.traced:
-        raise ValueError("system was built without a trace (trace=False)")
-    if slope not in system.bounds:
-        raise ValueError(f"slope {slope} outside system range")
-    return [e for e in system.trace if e.slope == slope]
 
 
 def solve_trefoil_family(n_max: int) -> dict:

@@ -64,11 +64,6 @@ def delta_dual(d: int, b1: int) -> int:
     return (b1 - 1 - d) % 2
 
 
-def delta_connected_sum(d1: int, d2: int) -> int:
-    """delta is additive under connected sum."""
-    return (d1 + d2) % 2
-
-
 def contact_grading(f: FillingData) -> int:
     """Z/2 grading of the contact class of (Y, xi) in I^#(-Y), computed from
     filling data for (Y, xi) itself: delta(-Y, xi) + 1 mod 2."""

@@ -2,9 +2,8 @@
 
 The integer attached to a cobordism W: Y_in -> Y_out is
 
-    d(W) = -(3/2)(chi + sigma) + (1/2)(b1_out - b1_in + b0_out - b0_in)
+    d(W) = -(3/2)(chi + sigma) + (1/2)(b1_out - b1_in + b0_out - b0_in).
 
-and its mod-2 reduction is (1/2)(chi + sigma + b1_out - b1_in + b0_out - b0_in).
 An empty end is encoded by b0 = 0 (and b1 = 0); its terms then contribute
 nothing, which covers fillings X: empty -> Y.
 
@@ -17,7 +16,6 @@ degree of the non-spin map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,6 @@ class CobordismData:
     b0_in: int = 1
     b0_out: int = 1
     spin: bool = True
-    surface_self_int: Optional[int] = None
 
     def __post_init__(self):
         for name in ("b1_in", "b1_out", "b0_in", "b0_out"):
@@ -63,24 +60,6 @@ def d_degree(c: CobordismData) -> int:
     if twice % 2 != 0:
         raise ValueError(f"d(W) is not an integer for this data: {twice}/2")
     return twice // 2
-
-
-def d_mod2(c: CobordismData) -> int:
-    """Mod-2 degree of the induced map."""
-    interior = c.chi + c.sigma + c.b1_out - c.b1_in + c.b0_out - c.b0_in
-    if interior % 2 != 0:
-        raise ValueError("chi + sigma + delta(b1) + delta(b0) must be even")
-    return (interior // 2) % 2
-
-
-def degree_z4(c: CobordismData) -> int:
-    """Z/4 degree of the induced map: d(W) if spin, else d(W) + 2[S].[S]."""
-    d = d_degree(c)
-    if c.spin:
-        return d % 4
-    if c.surface_self_int is None:
-        raise ValueError("non-spin cobordism needs surface_self_int")
-    return (d + 2 * c.surface_self_int) % 4
 
 
 def triangle_degrees(n: int) -> TriangleDegrees:

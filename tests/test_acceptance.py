@@ -10,14 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from isurg.graded import GradedDimZ2, collapse_z4_to_z2, euler_z2
+from isurg.graded import GradedDimZ2, collapse_z4_to_z2
 from isurg.knots import torus_knot
-from isurg.legendrian import prop41_lower_bound, rotation_numbers_after, LegendrianRep
+from isurg.legendrian import rotation_numbers_after, LegendrianRep
 from isurg.oracle import NotDeterminedError, solve, solve_trefoil_family
 from isurg.planefield import FillingData, d3, delta, rho
 from isurg.surgery import dims_z2, dims_z4, trefoil_one_over_n
 from isurg.triangle import (
-    d_mod2,
+    d_degree,
     surgery_cobordism_data,
     triangle_degrees,
 )
@@ -59,12 +59,15 @@ def test_criterion_3_z4_collapse():
 
 
 def test_criterion_4_euler_characteristic():
+    def euler(v):
+        return v.d0 - v.d1
+
     ok = all(
-        euler_z2(dims_z2(g, n)) == abs(n)
+        euler(dims_z2(g, n)) == abs(n)
         for g in range(1, 7)
         for n in range(-50, 51)
     )
-    ok = ok and all(euler_z2(trefoil_one_over_n(n)) == 1 for n in range(1, 21))
+    ok = ok and all(euler(trefoil_one_over_n(n)) == 1 for n in range(1, 21))
     report("graded Euler characteristic equals |n| (and 1 for 1/n slopes)", ok)
 
 
@@ -73,7 +76,7 @@ def test_criterion_5_degree_sum_law():
     for n in range(-20, 21):
         c = surgery_cobordism_data(n)
         if c.spin:
-            ok = ok and triangle_degrees(n).deg_from_s3 % 2 == d_mod2(c)
+            ok = ok and triangle_degrees(n).deg_from_s3 % 2 == d_degree(c) % 2
     report("triangle degrees sum to 3 mod 4 and reduce mod 2 consistently", ok)
 
 
@@ -88,8 +91,10 @@ def test_criterion_6_trefoil_family():
 
 
 def test_criterion_7_legendrian_bound_tightness():
+    # Prop 4.1: -n-surgery on a knot with maximal self-linking s has at
+    # least s + n in grading 0 and s in grading 1; here s = 2g - 1.
     ok = all(
-        prop41_lower_bound(2 * g - 1, n) == dims_z2(g, -n)
+        GradedDimZ2(2 * g - 1 + n, 2 * g - 1) == dims_z2(g, -n)
         for g in range(1, 7)
         for n in range(1, 31)
     )

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from isurg import cli, legendrian, oracle, surgery
-from isurg.knots import dump_catalog, torus_knot
+from isurg.knots import torus_knot
 
 SCHEMA = json.loads(resources.files("isurg").joinpath("schema.json").read_text())
 
@@ -176,9 +177,9 @@ def test_dims_z4_warning_without_lens_flag(capsys, tmp_path):
 
 def test_catalog_env_and_flag_precedence(capsys, tmp_path, monkeypatch):
     env_cat = tmp_path / "env.json"
-    env_cat.write_text(dump_catalog([torus_knot(2, 5)]))
+    env_cat.write_text(json.dumps({"knots": [dataclasses.asdict(torus_knot(2, 5))]}))
     flag_cat = tmp_path / "flag.json"
-    flag_cat.write_text(dump_catalog([torus_knot(2, 3)]))
+    flag_cat.write_text(json.dumps({"knots": [dataclasses.asdict(torus_knot(2, 3))]}))
     monkeypatch.setenv(cli.CATALOG_ENV, str(env_cat))
 
     code, record, _ = run_json(capsys, "dims", "--knot", "T(2,5)", "--n", "1")
@@ -445,14 +446,29 @@ def run_exit(capsys, *argv):
     return exc.value.code, captured.out, captured.err
 
 
+def run_refused(capsys, *argv):
+    """main(argv) for an argument that argparse or a command refuses."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 @pytest.mark.parametrize("argv, length", [
     (["triangle", "--n", "9" * 5000], 5000),
     (["legendrian", "--tb", "1", "--rot", "x" * 5000, "--target-tb", "0"], 5000),
     (["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "0:" + "9" * 5000], 5002),
     (["dims", "--genus", "1", "--range", "9" * 4000 + ":0"], 4002),  # a valid, empty range
+    (["--format", "x" * 5000, "triangle", "--n", "1"], 5000),
+    (["x" * 5000], 5000),
+    (["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "0:1",
+      "--drop-constraint", "x" * 5000], 5000),
+    (["dims", "--knot", "torus:" + "9" * 4994, "--n", "1"], 5000),
 ])
 def test_long_bad_argument_is_echoed_in_short(capsys, argv, length):
-    code, out, err = run_exit(capsys, *argv)
+    code, out, err = run_refused(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err) < 300
@@ -475,6 +491,46 @@ def test_bad_int_of_41_characters_is_cut(capsys):
     code, _, err = run_exit(capsys, "triangle", "--n", "x" * 41)
     assert code == 2
     assert err.endswith(f"invalid int value: {'x' * 40!r}... (41 characters)\n")
+
+
+CHOICE_ARGVS = [
+    lambda t: ["--format", t, "triangle", "--n", "1"],
+    lambda t: [t],
+    lambda t: ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "0:1",
+               "--drop-constraint", t],
+]
+
+
+@pytest.mark.parametrize("token", ["x", "", "C7", "it's", "x" * 40])
+@pytest.mark.parametrize("which", range(len(CHOICE_ARGVS)))
+def test_short_bad_choice_keeps_the_argparse_message(capsys, monkeypatch, which, token):
+    argv = CHOICE_ARGVS[which](token)
+    code, _, err = run_exit(capsys, *argv)
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert run_exit(capsys, *argv) == (code, "", err)
+    assert code == 2
+    assert f"invalid choice: {token!r} (choose from " in err
+
+
+@pytest.mark.parametrize("which", range(len(CHOICE_ARGVS)))
+def test_bad_choice_of_41_characters_is_cut(capsys, which):
+    code, _, err = run_exit(capsys, *CHOICE_ARGVS[which]("x" * 41))
+    assert code == 2
+    assert err.endswith(f"invalid choice: {'x' * 40!r}... (41 characters)\n")
+
+
+def test_long_knot_name_is_echoed_in_short(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.CATALOG_ENV, raising=False)
+    name = "x" * 5000
+    code, _, err = run(capsys, "dims", "--knot", name, "--n", "1")
+    assert code == 2
+    assert err == f"error: --knot {name[:40]!r}... (5000 characters) needs a catalog " \
+        f"(--catalog or ${cli.CATALOG_ENV})\n"
+    path = tmp_path / "cat.json"
+    path.write_text('{"knots": [{"name": "k", "genus": 1, "max_self_linking": 1}]}')
+    code, _, err = run(capsys, "dims", "--knot", name, "--n", "1", "--catalog", str(path))
+    assert code == 2
+    assert err == f"error: knot {name[:40]!r}... (5000 characters) not found in catalog {path}\n"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -5,13 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from isurg.graded import GradedDimZ2
-from isurg.legendrian import (
-    LegendrianRep,
-    distinct_chern_count,
-    prop41_lower_bound,
-    rotation_numbers_after,
-    stabilize,
-)
+from isurg.legendrian import LegendrianRep, distinct_chern_count, rotation_numbers_after
 from isurg.surgery import dims_z2
 
 
@@ -21,20 +15,14 @@ def brute_force_rotations(rep, target_tb):
     return sorted({rep.r + sum(signs) for signs in product((1, -1), repeat=k)})
 
 
-def test_stabilize_examples():
-    assert stabilize(LegendrianRep(1, 0), 1) == LegendrianRep(0, 1)
-    assert stabilize(LegendrianRep(0, -1), -1) == LegendrianRep(-1, -2)
-    pm = stabilize(stabilize(LegendrianRep(1, 0), 1), -1)
-    mp = stabilize(stabilize(LegendrianRep(1, 0), -1), 1)
-    assert pm == mp == LegendrianRep(-1, 0)
-
-
 def test_tb_plus_r_must_be_odd():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tb \\+ r must be odd, got tb=1, r=1"):
         LegendrianRep(1, 1)
-    rep = LegendrianRep(1, 0)
-    assert rep.tb_plus_r() == 1
-    assert rep.tb_minus_r() == 1
+    with pytest.raises(ValueError, match="got tb=0, r=-2"):
+        LegendrianRep(0, -2)
+    for tb, r in ((1, 0), (0, -1), (-3, 2)):
+        rep = LegendrianRep(tb, r)
+        assert (rep.tb, rep.r) == (tb, r)
 
 
 def test_rotation_numbers_examples():
@@ -76,12 +64,6 @@ def test_chern_count_target_above_tb_rejected():
         distinct_chern_count(LegendrianRep(1, 0), 2)
 
 
-def test_prop41_examples():
-    assert prop41_lower_bound(1, 1) == GradedDimZ2(2, 1)
-    assert prop41_lower_bound(3, 2) == GradedDimZ2(5, 3)
-    assert prop41_lower_bound(0, 4) == GradedDimZ2(4, 0)
-
-
 @given(
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=-7, max_value=7),
@@ -113,5 +95,8 @@ def test_rotation_parity(tb, r, drops):
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_prop41_tight_at_maximal_self_linking(g):
+    # Prop 4.1: -n-surgery on a knot with maximal self-linking s has at
+    # least s + n in grading 0 and s in grading 1; at s = 2g - 1 that is exact.
+    s = 2 * g - 1
     for n in range(1, 31):
-        assert prop41_lower_bound(2 * g - 1, n) == dims_z2(g, -n)
+        assert dims_z2(g, -n) == GradedDimZ2(s + n, s)

@@ -9,7 +9,6 @@ from isurg.planefield import (
     contact_grading,
     d3,
     delta,
-    delta_connected_sum,
     delta_dual,
     rho,
 )
@@ -61,12 +60,6 @@ def test_delta_dual():
         assert delta_dual(d, 1) == d
         for b1 in range(5):
             assert delta_dual(delta_dual(d, b1), b1) == d
-
-
-def test_delta_connected_sum():
-    assert delta_connected_sum(0, 0) == 0
-    assert delta_connected_sum(1, 1) == 0
-    assert delta_connected_sum(1, 0) == 1
 
 
 def test_contact_grading_examples():

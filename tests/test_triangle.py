@@ -4,8 +4,6 @@ from isurg.triangle import (
     CobordismData,
     TriangleDegrees,
     d_degree,
-    d_mod2,
-    degree_z4,
     surgery_cobordism_data,
     spin_s3_cobordism_data,
     surgery_map_cobordism_data,
@@ -33,29 +31,11 @@ def test_d_mod2_examples():
         filling = CobordismData(
             chi=2 - 2 * g, sigma=0, b1_out=2 * g + 1, b0_in=0, b0_out=1
         )
-        assert d_mod2(filling) == 0
-    assert d_mod2(CobordismData(chi=1, sigma=-1)) == 0
+        assert d_degree(filling) % 2 == 0
+    assert d_degree(CobordismData(chi=1, sigma=-1)) % 2 == 0
     # excision cobordism: chi = sigma = 0, ends gain b1 by 3 and b0 by 1
     exc = CobordismData(chi=0, sigma=0, b1_in=4, b1_out=7, b0_in=1, b0_out=2)
-    assert d_mod2(exc) == 0
-
-
-def test_d_mod2_parity_rejected():
-    with pytest.raises(ValueError, match="even"):
-        d_mod2(CobordismData(chi=1, sigma=0))
-
-
-def test_degree_z4_examples():
-    assert degree_z4(CobordismData(chi=1, sigma=1, spin=True)) == 1  # d = -3
-    assert (
-        degree_z4(CobordismData(chi=1, sigma=-1, spin=False, surface_self_int=1)) == 2
-    )
-    assert degree_z4(CobordismData(chi=1, sigma=-1, spin=True)) == 0
-
-
-def test_degree_z4_needs_surface_when_nonspin():
-    with pytest.raises(ValueError, match="surface_self_int"):
-        degree_z4(CobordismData(chi=1, sigma=-1, spin=False))
+    assert d_degree(exc) % 2 == 0
 
 
 def test_triangle_degree_table():
@@ -100,16 +80,19 @@ def test_spin_s3_cobordism_data_is_the_spin_map():
         assert expected.spin
 
 
-def test_d_mod2_consistent_with_d_degree():
-    for n in range(-20, 21):
-        for c in (
-            surgery_cobordism_data(n),
-            surgery_map_cobordism_data(n),
-            to_s3_cobordism_data(n),
-        ):
-            assert d_mod2(c) == d_degree(c) % 2
-            if c.spin:
-                assert degree_z4(c) % 2 == d_mod2(c)
+def test_non_spin_degree_follows_self_intersection_rule():
+    # The non-spin map through S^3 has degree d(W) + 2 [S].[S] mod 4, where
+    # S is the capped-off surface: self-intersection n in the trace of
+    # n-surgery (odd n), -(n+1) in the reversed trace of (n+1)-surgery
+    # (even n).  The table derives that degree from the sum-to-3 rule.
+    for n in range(-12, 13):
+        degs = triangle_degrees(n)
+        if n % 2:
+            c, s, deg = surgery_cobordism_data(n), n, degs.deg_from_s3
+        else:
+            c, s, deg = to_s3_cobordism_data(n), -(n + 1), degs.deg_to_s3
+        assert not c.spin
+        assert (d_degree(c) + 2 * s) % 4 == deg, n
 
 
 def test_table_matches_mod2_degrees():
@@ -117,7 +100,7 @@ def test_table_matches_mod2_degrees():
     # corresponding cobordism data; the surgery map is always spin.
     for n in range(-20, 21):
         degs = triangle_degrees(n)
-        assert degs.deg_surgery % 2 == d_mod2(surgery_map_cobordism_data(n))
+        assert degs.deg_surgery % 2 == d_degree(surgery_map_cobordism_data(n)) % 2
         from_s3 = surgery_cobordism_data(n)
         to_s3 = to_s3_cobordism_data(n)
         assert from_s3.spin != to_s3.spin
