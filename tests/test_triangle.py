@@ -25,6 +25,18 @@ def test_d_degree_non_integral_rejected():
         d_degree(CobordismData(chi=1, sigma=0))
 
 
+def test_d_mod2_parity_rejected():
+    # the mod-2 degree is d_degree(c) % 2, so data whose parity sum
+    # chi + sigma + (b1_out - b1_in) + (b0_out - b0_in) is odd has none
+    for c in (
+        CobordismData(chi=1, sigma=0),
+        CobordismData(chi=0, sigma=0, b0_in=0, b0_out=1),
+        CobordismData(chi=2, sigma=1, b1_in=1, b1_out=1),
+    ):
+        with pytest.raises(ValueError, match="not an integer"):
+            d_degree(c) % 2
+
+
 def test_d_mod2_examples():
     # Sigma_g x D^2 as a filling of Sigma_g x S^1, any g
     for g in range(0, 5):
