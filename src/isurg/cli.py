@@ -8,7 +8,8 @@ Output is a human-readable table by default; --format json|tsv switches.
 JSON output, including the exit-3 report, has exactly the layout of
 `json.dumps(record, indent=2)` (non-ASCII characters escaped) and is
 byte-stable.  Result rows are written as they are computed, so `dims`
-holds one row at a time at any range, and a reader that closes stdout
+holds one row at a time at any range (`oracle` holds its solved slopes
+and makes each row as it is written), and a reader that closes stdout
 early (`isurg dims ... | head -1`) stops a long range there and ends
 the run quietly with exit 0.  A `dims` row is a flat tuple of ints from
 `surgery.dims_rows`, which computes a range one closed-form regime at a
@@ -22,7 +23,8 @@ limit on int digits, and a result holding an integer too long for Python
 to convert to text, after which the part of the record already written
 stays on stdout, in every format, and any warning still reaches stderr),
 3 mathematical failure (contradiction or undetermined oracle).  A usage
-error echoes at most the first 40 characters of a bad argument.
+error echoes at most the first 40 characters of a bad argument or
+`--catalog` path.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def _resolve_knot(args):
         try:
             return knots.torus_knot(p, q)
         except ValueError as e:
-            raise UsageError(str(e))
+            raise UsageError(f"{e}, got {_shown(spec_str)}")
     path = args.catalog or os.environ.get(CATALOG_ENV)
     if not path:
         raise UsageError(
@@ -264,12 +266,14 @@ def _resolve_knot(args):
     try:
         with open(path) as fh:
             catalog = knots.load_catalog(fh.read())
-    except (OSError, knots.CatalogError) as e:
-        raise UsageError(f"catalog {path}: {e}")
+    except OSError as e:  # its text would repeat the path whole
+        raise UsageError(f"catalog {_shown(path)}: {e.strerror}")
+    except knots.CatalogError as e:
+        raise UsageError(f"catalog {_shown(path)}: {e}")
     for k in catalog:
         if k.name == spec_str:
             return k
-    raise UsageError(f"knot {_shown(spec_str)} not found in catalog {path}")
+    raise UsageError(f"knot {_shown(spec_str)} not found in catalog {_shown(path)}")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -349,16 +353,12 @@ def cmd_oracle(args) -> dict:
             "kind": "not-determined", "message": str(e), "undetermined_slopes": e.slopes
         }
     else:
-        for n in sorted(solved):
-            closed = surgery.dims_z2(g, n)
-            record["results"].append(
-                {
-                    "n": n,
-                    "z2": list(solved[n].entries()),
-                    "agrees": solved[n] == closed,
-                    "provenance": "oracle",
-                }
-            )
+        # Rows are made as _emit writes them; `solved` is in slope order.
+        record["results"] = (
+            {"n": n, "z2": list(v.entries()), "agrees": v == surgery.dims_z2(g, n),
+             "provenance": "oracle"}
+            for n, v in solved.items()
+        )
     if args.trace:
         record["trace"] = [e.to_dict() for e in system.trace]
     if "error" in record:

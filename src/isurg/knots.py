@@ -50,7 +50,7 @@ def torus_knot(p: int, q: int) -> KnotDescriptor:
     if p < 2 or q < 2:
         raise ValueError("torus knot parameters must both be >= 2")
     if gcd(p, q) != 1:
-        raise ValueError(f"torus knot parameters must be coprime, got ({p},{q})")
+        raise ValueError("torus knot parameters must be coprime")
     g = (p - 1) * (q - 1) // 2
     return KnotDescriptor(
         name=f"T({p},{q})",

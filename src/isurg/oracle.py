@@ -48,6 +48,28 @@ computes are no tighter than the bound already there (about four in five
 over a typical solve), so an update is called only for a strictly tighter
 candidate; the tightenings and their order stay the same.
 
+The bounds are two flat lists, `lo` and `hi` (None = unbounded above),
+with STRIDE = 3 entries per slope; a visit reads and writes them by index,
+and DimIntervals are built only when `bounds` is read.
+
+About one visit in three still finds its slope settled, and two rule
+checks are skipped where no candidate can be tighter than its bound:
+
+  C3 at slope n, when d0, d1 and the total are pinned at a, b and t with
+     a = b + |n| and t = a + b.  Then t = 2b + |n| = 2a - |n|, and each of
+     the rule's ten candidates (d1 + |n|, d0 - |n|, 2*d1 + |n| and the
+     halves (t -+ |n|) / 2, each at lo and at hi) equals the a, b or t it
+     is compared with.
+  C4 at (n, n+1), when both totals are pinned at t and u with |t - u| <= 1
+     and t + u >= 1, the anchor total.  Then the upper candidate u + 1 is
+     at least t, and the lower ones 1 - u and u - 1 are at most t; the
+     same holds with t and u swapped.
+
+So a skipped check would change no bound, add no trace entry and move no
+tick; it still counts as an application.  Any other state runs the full
+rule, so a pinned but inconsistent slope or pair still raises
+ContradictionError.
+
 The trace is built only on request (`build_system(..., trace=True)`, as
 the CLI's `--trace` does); by default `trace` stays empty, and nothing
 else depends on the choice.
@@ -74,6 +96,10 @@ CONSTRAINT_IDS = ("C1", "C2", "C3", "C4", "C5", "C6")
 
 # Index of the total-dimension interval in a slope's bound triple.
 TOTAL = 2
+
+# Intervals per slope in the flat bound arrays: the bounds of grading 0, 1
+# or TOTAL at slope n sit at STRIDE * (n - first padded slope) + grading.
+STRIDE = 3
 
 # Slopes of padding past each end of the slope range.
 PAD = 2
@@ -134,13 +160,23 @@ class TraceEntry:
 
 @dataclass
 class ConstraintSystem:
+    """Interval bounds at every padded slope, and the rules that narrow them.
+
+    The bounds live in two flat lists, `lo` and `hi` (None = unbounded
+    above), with STRIDE entries per slope: grading 0, grading 1 and the
+    total, slopes ascending from the first padded one.  `bounds` gives
+    them as {slope: [d0, d1, total]} of DimIntervals, built afresh on each
+    access; writing into that copy changes nothing.
+    """
+
     genus: int
     lspace_slope: int
     lo_slope: int
     hi_slope: int
     dropped: frozenset = frozenset()
     traced: bool = False     # record every tightening in `trace`
-    bounds: dict = field(init=False, default_factory=dict)
+    lo: list = field(init=False, default_factory=list)
+    hi: list = field(init=False, default_factory=list)
     trace: list = field(init=False, default_factory=list)
     applications: int = field(init=False, default=0)
     sweeps: int = field(init=False, default=0)
@@ -169,51 +205,69 @@ class ConstraintSystem:
                 f"slope range too wide: one sweep needs {work} applications, "
                 f"more than the cap of {MAX_APPLICATIONS}"
             )
-        for n in range(self._lo, self._hi + 1):
-            self.bounds[n] = [DimInterval(), DimInterval(), DimInterval()]
-        # Tick of each slope's last bound change, one slope past each end so
-        # that every window n-1..n+1 that _apply checks exists.
-        self._changed_at = dict.fromkeys(range(self._lo - 1, self._hi + 2), 0)
+        size = STRIDE * (self._hi - self._lo + 1)
+        self.lo = [0] * size
+        self.hi = [None] * size
+        # Tick of each slope's last bound change, slope n at n - _lo + 1: one
+        # slope past each end, so that every window n-1..n+1 that _apply
+        # checks exists.
+        self._changed_at = [0] * (self._hi - self._lo + 3)
         self._tick = 0
+
+    @property
+    def bounds(self) -> dict:
+        lo, hi = self.lo, self.hi
+        return {
+            n: [DimInterval(lo[i + k], hi[i + k]) for k in range(STRIDE)]
+            for n, i in zip(range(self._lo, self._hi + 1), range(0, len(lo), STRIDE))
+        }
 
     # -- bound updates ----------------------------------------------------
     #
-    # C3-C6 call these only with a strictly tighter candidate; the helpers
-    # still check, so a call that does not tighten is a no-op.  A lower
-    # bound is never negative, so `value > iv.lo` also implies `value > 0`.
+    # Each takes a flat index into `lo`/`hi`.  C3-C6 call these only with a
+    # strictly tighter candidate; the helpers still check, so a call that
+    # does not tighten is a no-op.  A lower bound is never negative, so
+    # `value > lo[i]` also implies `value > 0`.
 
-    def _raise_lo(self, slope, grading, value, cname, consumed) -> bool:
-        iv = self.bounds[slope][grading]
-        if value <= iv.lo:
+    def _slope_grading(self, i) -> tuple:
+        p, grading = divmod(i, STRIDE)
+        return self._lo + p, grading
+
+    def _raise_lo(self, i, value, cname, consumed) -> bool:
+        if value <= self.lo[i]:
             return False
         if self.traced:
-            self.trace.append(TraceEntry(cname, slope, grading, "lo", value, consumed))
-        if iv.hi is not None and value > iv.hi:
+            self.trace.append(TraceEntry(cname, *self._slope_grading(i), "lo", value, consumed))
+        hi = self.hi[i]
+        if hi is not None and value > hi:
+            slope, grading = self._slope_grading(i)
             raise ContradictionError(
-                f"{cname}: lower bound {value} exceeds upper bound {iv.hi} "
+                f"{cname}: lower bound {value} exceeds upper bound {hi} "
                 f"at slope {slope} (grading {grading})",
                 system=self,
             )
-        iv.lo = value
+        self.lo[i] = value
         self._tick += 1
-        self._changed_at[slope] = self._tick
+        self._changed_at[i // STRIDE + 1] = self._tick
         return True
 
-    def _lower_hi(self, slope, grading, value, cname, consumed) -> bool:
-        iv = self.bounds[slope][grading]
-        if iv.hi is not None and value >= iv.hi:
+    def _lower_hi(self, i, value, cname, consumed) -> bool:
+        hi = self.hi[i]
+        if hi is not None and value >= hi:
             return False
         if self.traced:
-            self.trace.append(TraceEntry(cname, slope, grading, "hi", value, consumed))
-        if value < iv.lo:
+            self.trace.append(TraceEntry(cname, *self._slope_grading(i), "hi", value, consumed))
+        lo = self.lo[i]
+        if value < lo:
+            slope, grading = self._slope_grading(i)
             raise ContradictionError(
                 f"{cname}: upper bound {value} drops below lower bound "
-                f"{iv.lo} at slope {slope} (grading {grading})",
+                f"{lo} at slope {slope} (grading {grading})",
                 system=self,
             )
-        iv.hi = value
+        self.hi[i] = value
         self._tick += 1
-        self._changed_at[slope] = self._tick
+        self._changed_at[i // STRIDE + 1] = self._tick
         return True
 
     # -- constraints ------------------------------------------------------
@@ -225,11 +279,12 @@ class ConstraintSystem:
         if n != self.lspace_slope:
             return False
         m = self.lspace_slope
-        changed = self._raise_lo(n, 0, m, "C1", ())
-        changed |= self._lower_hi(n, 0, m, "C1", ())
-        changed |= self._lower_hi(n, 1, 0, "C1", ())
-        changed |= self._raise_lo(n, TOTAL, m, "C1", ())
-        changed |= self._lower_hi(n, TOTAL, m, "C1", ())
+        i = STRIDE * (n - self._lo)
+        changed = self._raise_lo(i, m, "C1", ())
+        changed |= self._lower_hi(i, m, "C1", ())
+        changed |= self._lower_hi(i + 1, 0, "C1", ())
+        changed |= self._raise_lo(i + TOTAL, m, "C1", ())
+        changed |= self._lower_hi(i + TOTAL, m, "C1", ())
         return changed
 
     # C2, the total dimension 1 of the unsurgered S^3, enters as the
@@ -251,16 +306,20 @@ class ConstraintSystem:
     def _apply(self, slopes, c3, c4, c5, c6, visited=None) -> bool:
         """Visit each slope in turn and apply the flagged constraints among
         C3-C6 there, in that order; returns whether any bound changed.
-        With `visited` (slope -> tick when its last visit began), skip a
-        visit whose window n-1..n+1 has no bound change newer than that.  Each
-        constraint run counts one application; a visit that would take
-        `applications` past MAX_APPLICATIONS is counted but not run, and
-        ends the call."""
-        bounds = self.bounds
+        With `visited` (tick when the last visit began, by slope position),
+        skip a visit whose window n-1..n+1 has no bound change newer than
+        that.  A C3 or C4 check whose bounds are in the pinned state where
+        every candidate equals its bound (see the module docstring) is
+        skipped, but still counted.  Each constraint run counts one
+        application; a visit that would take `applications` past
+        MAX_APPLICATIONS is counted but not run, and ends the call."""
+        lo = self.lo
+        hi = self.hi
         raise_lo = self._raise_lo
         lower_hi = self._lower_hi
         changed_at = self._changed_at
         s = 2 * self.genus - 1
+        first = self._lo
         top = self._hi
         s3 = self._S3_TOTAL
         per_visit = c3 + c4 + c5 + c6
@@ -268,97 +327,107 @@ class ConstraintSystem:
         applications = self.applications
         try:
             for n in slopes:
+                p = n - first
                 if visited is not None:
-                    seen = visited[n]
-                    if changed_at[n - 1] <= seen and changed_at[n] <= seen and changed_at[n + 1] <= seen:
+                    seen = visited[p]
+                    # changed_at holds slope n at p + 1
+                    if changed_at[p] <= seen and changed_at[p + 1] <= seen and changed_at[p + 2] <= seen:
                         continue
-                    visited[n] = self._tick
+                    visited[p] = self._tick
                 if applications + per_visit > MAX_APPLICATIONS:
                     applications += per_visit
                     break
-                d0, d1, t = bounds[n]
+                i0 = STRIDE * p  # d0; d1 and the total follow
+                i1 = i0 + 1
+                it = i0 + TOTAL
                 if c3:
                     applications += 1
                     k = abs(n)
-                    # pairwise euler coupling: d0 = d1 + k
-                    v = d1.lo + k
-                    if v > d0.lo:
-                        raise_lo(n, 0, v, "C3", (n,))
-                    if d1.hi is not None:
-                        v = d1.hi + k
-                        if d0.hi is None or v < d0.hi:
-                            lower_hi(n, 0, v, "C3", (n,))
-                    v = d0.lo - k
-                    if v > d1.lo:
-                        raise_lo(n, 1, v, "C3", (n,))
-                    if d0.hi is not None:
-                        v = max(d0.hi - k, 0)
-                        if d1.hi is None or v < d1.hi:
-                            lower_hi(n, 1, v, "C3", (n,))
-                    # total = 2*d1 + k = 2*d0 - k
-                    v = 2 * d1.lo + k
-                    if v > t.lo:
-                        raise_lo(n, TOTAL, v, "C3", (n,))
-                    if d1.hi is not None:
-                        v = 2 * d1.hi + k
-                        if t.hi is None or v < t.hi:
-                            lower_hi(n, TOTAL, v, "C3", (n,))
-                    v = -((k - t.lo) // 2)  # ceil((t.lo - k) / 2)
-                    if v > d1.lo:
-                        raise_lo(n, 1, v, "C3", (n,))
-                    if t.hi is not None:
-                        v = max((t.hi - k) // 2, 0)
-                        if d1.hi is None or v < d1.hi:
-                            lower_hi(n, 1, v, "C3", (n,))
-                    v = -((-t.lo - k) // 2)  # ceil((t.lo + k) / 2)
-                    if v > d0.lo:
-                        raise_lo(n, 0, v, "C3", (n,))
-                    if t.hi is not None:
-                        v = (t.hi + k) // 2
-                        if d0.hi is None or v < d0.hi:
-                            lower_hi(n, 0, v, "C3", (n,))
+                    a, b, t = lo[i0], lo[i1], lo[it]
+                    if not (hi[i0] == a and hi[i1] == b and hi[it] == t
+                            and a == b + k and t == a + b):
+                        # pairwise euler coupling: d0 = d1 + k
+                        v = lo[i1] + k
+                        if v > lo[i0]:
+                            raise_lo(i0, v, "C3", (n,))
+                        if hi[i1] is not None:
+                            v = hi[i1] + k
+                            if hi[i0] is None or v < hi[i0]:
+                                lower_hi(i0, v, "C3", (n,))
+                        v = lo[i0] - k
+                        if v > lo[i1]:
+                            raise_lo(i1, v, "C3", (n,))
+                        if hi[i0] is not None:
+                            v = max(hi[i0] - k, 0)
+                            if hi[i1] is None or v < hi[i1]:
+                                lower_hi(i1, v, "C3", (n,))
+                        # total = 2*d1 + k = 2*d0 - k
+                        v = 2 * lo[i1] + k
+                        if v > lo[it]:
+                            raise_lo(it, v, "C3", (n,))
+                        if hi[i1] is not None:
+                            v = 2 * hi[i1] + k
+                            if hi[it] is None or v < hi[it]:
+                                lower_hi(it, v, "C3", (n,))
+                        v = -((k - lo[it]) // 2)  # ceil((t.lo - k) / 2)
+                        if v > lo[i1]:
+                            raise_lo(i1, v, "C3", (n,))
+                        if hi[it] is not None:
+                            v = max((hi[it] - k) // 2, 0)
+                            if hi[i1] is None or v < hi[i1]:
+                                lower_hi(i1, v, "C3", (n,))
+                        v = -((-lo[it] - k) // 2)  # ceil((t.lo + k) / 2)
+                        if v > lo[i0]:
+                            raise_lo(i0, v, "C3", (n,))
+                        if hi[it] is not None:
+                            v = (hi[it] + k) // 2
+                            if hi[i0] is None or v < hi[i0]:
+                                lower_hi(i0, v, "C3", (n,))
                 if c4:
                     applications += 1
                     # Triangle (infinity, n, n+1): each total <= sum of the others.
                     if n < top:
-                        u = bounds[n + 1][TOTAL]
-                        for a, ta, b, tb in ((n, t, n + 1, u), (n + 1, u, n, t)):
-                            if tb.hi is not None:
-                                v = tb.hi + s3
-                                if ta.hi is None or v < ta.hi:
-                                    lower_hi(a, TOTAL, v, "C4", (b, "inf"))
-                                v = s3 - tb.hi
-                                if v > ta.lo:
-                                    raise_lo(a, TOTAL, v, "C4", (b, "inf"))
-                            v = tb.lo - s3
-                            if v > ta.lo:
-                                raise_lo(a, TOTAL, v, "C4", (b, "inf"))
+                        iu = it + STRIDE
+                        t, u = lo[it], lo[iu]
+                        if not (hi[it] == t and hi[iu] == u
+                                and -s3 <= t - u <= s3 and t + u >= s3):
+                            for ia, ib, b in ((it, iu, n + 1), (iu, it, n)):
+                                if hi[ib] is not None:
+                                    v = hi[ib] + s3
+                                    if hi[ia] is None or v < hi[ia]:
+                                        lower_hi(ia, v, "C4", (b, "inf"))
+                                    v = s3 - hi[ib]
+                                    if v > lo[ia]:
+                                        raise_lo(ia, v, "C4", (b, "inf"))
+                                v = lo[ib] - s3
+                                if v > lo[ia]:
+                                    raise_lo(ia, v, "C4", (b, "inf"))
                 if c5:
                     applications += 1
                     # Adjunction: total(n) = total(n-1) + 1 once n - 1 >= 2g - 1 > 0.
                     if n > s:
-                        prev = bounds[n - 1][TOTAL]
-                        if prev.hi is not None:
-                            v = prev.hi + 1
-                            if t.hi is None or v < t.hi:
-                                lower_hi(n, TOTAL, v, "C5", (n - 1,))
-                        v = prev.lo + 1
-                        if v > t.lo:
-                            raise_lo(n, TOTAL, v, "C5", (n - 1,))
-                        if t.hi is not None:
-                            v = t.hi - 1
-                            if prev.hi is None or v < prev.hi:
-                                lower_hi(n - 1, TOTAL, v, "C5", (n,))
-                        v = t.lo - 1
-                        if v > prev.lo:
-                            raise_lo(n - 1, TOTAL, v, "C5", (n,))
+                        ip = it - STRIDE
+                        if hi[ip] is not None:
+                            v = hi[ip] + 1
+                            if hi[it] is None or v < hi[it]:
+                                lower_hi(it, v, "C5", (n - 1,))
+                        v = lo[ip] + 1
+                        if v > lo[it]:
+                            raise_lo(it, v, "C5", (n - 1,))
+                        if hi[it] is not None:
+                            v = hi[it] - 1
+                            if hi[ip] is None or v < hi[ip]:
+                                lower_hi(ip, v, "C5", (n,))
+                        v = lo[it] - 1
+                        if v > lo[ip]:
+                            raise_lo(ip, v, "C5", (n,))
                 if c6:
                     applications += 1
                     if n < 0:
-                        if s - n > d0.lo:
-                            raise_lo(n, 0, s - n, "C6", ())
-                        if s > d1.lo:
-                            raise_lo(n, 1, s, "C6", ())
+                        if s - n > lo[i0]:
+                            raise_lo(i0, s - n, "C6", ())
+                        if s > lo[i1]:
+                            raise_lo(i1, s, "C6", ())
         finally:
             self.applications = applications
         return self._tick != start
@@ -377,7 +446,8 @@ class ConstraintSystem:
 
     def solve(self) -> dict:
         """Propagate to a fixpoint; returns {slope: GradedDimZ2} over the
-        requested range.  Raises ContradictionError or NotDeterminedError.
+        requested range, in slope order.  Raises ContradictionError or
+        NotDeterminedError.
 
         The sweeps alternate direction over the slopes, ascending first.
         The fixpoint does not depend on the order, but a one-way sweep
@@ -401,7 +471,7 @@ class ConstraintSystem:
             self._c1(self.lspace_slope)
         active = self._active()
         order = list(range(self._lo, self._hi + 1))
-        visited = dict.fromkeys(order, -1)  # tick when the last visit began
+        visited = [-1] * len(order)  # tick when the last visit began
         while True:
             self.sweeps += 1
             changed = self._apply(order, *active, visited=visited)
@@ -409,22 +479,22 @@ class ConstraintSystem:
             if capped or not changed:
                 break
             order.reverse()
-        open_slopes = [
-            n
-            for n in range(self.lo_slope, self.hi_slope + 1)
-            if not (self.bounds[n][0].pinned() and self.bounds[n][1].pinned())
-        ]
-        if open_slopes:
+        # d0 and d1 of the requested slopes, in slope order.
+        a = STRIDE * (self.lo_slope - self._lo)
+        b = STRIDE * (self.hi_slope - self._lo + 1)
+        slopes = range(self.lo_slope, self.hi_slope + 1)
+        lo0, lo1 = self.lo[a:b:STRIDE], self.lo[a + 1:b:STRIDE]
+        hi0, hi1 = self.hi[a:b:STRIDE], self.hi[a + 1:b:STRIDE]
+        if lo0 != hi0 or lo1 != hi1:
+            open_slopes = [n for n, x0, y0, x1, y1 in zip(slopes, lo0, hi0, lo1, hi1)
+                           if x0 != y0 or x1 != y1]
             reason = "application cap reached" if capped else "fixpoint reached"
             raise NotDeterminedError(
                 f"{reason} with open intervals at slopes {open_slopes}",
                 open_slopes,
                 system=self,
             )
-        return {
-            n: GradedDimZ2(self.bounds[n][0].lo, self.bounds[n][1].lo)
-            for n in range(self.lo_slope, self.hi_slope + 1)
-        }
+        return dict(zip(slopes, map(GradedDimZ2, lo0, lo1)))
 
 
 def build_system(g, m, slope_range, drop=(), trace=False) -> ConstraintSystem:

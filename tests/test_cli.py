@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -116,7 +117,7 @@ def test_catalog_int_too_long_exits_2(capsys, tmp_path, int_digit_limit):
     code, out, err = run(capsys, "dims", "--knot", "k", "--n", "0", "--catalog", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: catalog {path}: catalog is not valid JSON")
+    assert err.startswith(f"error: catalog {cli._shown(str(path))}: catalog is not valid JSON")
 
 
 # A JSON true is a Python int, and 2.5 used to fail later as a bad dimension.
@@ -127,7 +128,7 @@ def test_catalog_genus_of_the_wrong_type_exits_2(capsys, tmp_path, genus):
     code, out, err = run(capsys, "dims", "--knot", "k", "--n", "0", "--z4", "--catalog", str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: catalog {path}: knots[0] (k): genus must be an integer, got {genus}\n"
+    assert err == f"error: catalog {cli._shown(str(path))}: knots[0] (k): genus must be an integer, got {genus}\n"
 
 
 # "false" is a non-empty string: read with bool() it counted as true and
@@ -140,7 +141,7 @@ def test_catalog_lens_surgery_of_the_wrong_type_exits_2(capsys, tmp_path, lens):
     code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--z4", "--catalog", str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: catalog {path}: knots[0] (k): lens_surgery must be true or false, got {lens}\n"
+    assert err == f"error: catalog {cli._shown(str(path))}: knots[0] (k): lens_surgery must be true or false, got {lens}\n"
 
 
 def test_catalog_name_of_the_wrong_type_exits_2(capsys, tmp_path):
@@ -149,7 +150,7 @@ def test_catalog_name_of_the_wrong_type_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--catalog", str(path))
     assert code == 2
     assert out == ""
-    assert err == f'error: catalog {path}: knots[0]: name must be a string, got ["k"]\n'
+    assert err == f'error: catalog {cli._shown(str(path))}: knots[0]: name must be a string, got ["k"]\n'
 
 
 def test_dims_z4_warning_without_lens_flag(capsys, tmp_path):
@@ -466,6 +467,7 @@ def run_refused(capsys, *argv):
     (["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "0:1",
       "--drop-constraint", "x" * 5000], 5000),
     (["dims", "--knot", "torus:" + "9" * 4994, "--n", "1"], 5000),
+    (["dims", "--knot", "torus:2," + "4" * 4000, "--n", "1"], 4008),  # not coprime
 ])
 def test_long_bad_argument_is_echoed_in_short(capsys, argv, length):
     code, out, err = run_refused(capsys, *argv)
@@ -473,6 +475,40 @@ def test_long_bad_argument_is_echoed_in_short(capsys, argv, length):
     assert out == ""
     assert len(err) < 300
     assert err.endswith(f"... ({length} characters)\n")
+
+
+def test_short_torus_spec_is_echoed_whole(capsys):
+    code, _, err = run(capsys, "dims", "--knot", "torus:4,6", "--n", "1")
+    assert code == 2
+    assert err == "error: torus knot parameters must be coprime, got 'torus:4,6'\n"
+
+
+# A catalog path of over 400 characters, in directories that each hold a
+# name of at most 200.
+def _long_path(tmp_path):
+    return tmp_path / ("d" * 200) / ("c" * 200 + ".json")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, os.strerror(errno.ENOENT)),
+    ('{"knots": 1}', 'catalog must be an object with a "knots" list'),
+    ('{"knots": []}', None),
+])
+def test_long_catalog_path_is_echoed_once_in_short(capsys, tmp_path, content, message):
+    path = _long_path(tmp_path)
+    if content is not None:
+        path.parent.mkdir()
+        path.write_text(content)
+    code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err) < 300
+    assert err.count(str(path)[:40]) == 1
+    shown = f"{str(path)[:40]!r}... ({len(str(path))} characters)"
+    if message is None:
+        assert err == f"error: knot 'k' not found in catalog {shown}\n"
+    else:
+        assert err == f"error: catalog {shown}: {message}\n"
 
 
 @pytest.mark.parametrize("token", ["abc", "", "1.5", "x" * 40])
@@ -530,7 +566,7 @@ def test_long_knot_name_is_echoed_in_short(capsys, tmp_path, monkeypatch):
     path.write_text('{"knots": [{"name": "k", "genus": 1, "max_self_linking": 1}]}')
     code, _, err = run(capsys, "dims", "--knot", name, "--n", "1", "--catalog", str(path))
     assert code == 2
-    assert err == f"error: knot {name[:40]!r}... (5000 characters) not found in catalog {path}\n"
+    assert err == f"error: knot {name[:40]!r}... (5000 characters) not found in catalog {cli._shown(str(path))}\n"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -151,11 +152,60 @@ def test_contradiction_carries_trace():
     # cannot happen with valid inputs, so force one by shrinking the range
     # onto a manufactured clash: C6 vs a C4 chain from the base.
     system = build_system(1, 5, (-10, 10), trace=True)
-    system.bounds[-1][0] = DimInterval(0, 1)  # below the C6 bound of 3
+    # hi of slope -1, grading 0: below the C6 bound of 3
+    system.hi[oracle.STRIDE * (-1 - system._lo)] = 1
     with pytest.raises(ContradictionError) as exc:
         system.solve()
     assert exc.value.system is system
     assert system.trace
+
+
+def _pin(system, n, grading, value):
+    i = oracle.STRIDE * (n - system._lo) + grading
+    system.lo[i] = system.hi[i] = value
+
+
+@pytest.mark.parametrize("d0, d1, total", [(2, 0, 2), (3, 0, 5), (4, 1, 4)])
+def test_pinned_inconsistent_c3_slope_is_a_contradiction(d0, d1, total):
+    # At slope 3 the euler relation wants d0 = d1 + 3 and total = d0 + d1.
+    system = build_system(1, 5, (-10, 10))
+    for grading, value in enumerate((d0, d1, total)):
+        _pin(system, 3, grading, value)
+    with pytest.raises(ContradictionError, match="^C3"):
+        system._c3(3)
+
+
+@pytest.mark.parametrize("t3, t4", [(5, 7), (7, 5), (0, 0)])
+def test_pinned_inconsistent_c4_pair_is_a_contradiction(t3, t4):
+    # The triangle with the anchor total 1 wants |t3 - t4| <= 1 <= t3 + t4.
+    system = build_system(1, 5, (-10, 10))
+    _pin(system, 3, oracle.TOTAL, t3)
+    _pin(system, 4, oracle.TOTAL, t4)
+    with pytest.raises(ContradictionError, match="^C4"):
+        system._c4(3)
+
+
+def test_pinned_consistent_checks_change_nothing_and_still_count():
+    system = build_system(1, 5, (-10, 10), trace=True)
+    for grading, value in enumerate((3, 0, 3)):
+        _pin(system, 3, grading, value)
+    _pin(system, 4, oracle.TOTAL, 4)
+    lo, hi = list(system.lo), list(system.hi)
+    assert not system._c3(3)
+    assert not system._c4(3)
+    assert (system.lo, system.hi, system.trace, system.applications) == (lo, hi, [], 2)
+
+
+def test_build_holds_no_object_per_bound():
+    # Flat lists of small cached ints and None: about 10.7 MiB on CPython 3.11,
+    # where a DimInterval per bound took about 79 MiB.
+    tracemalloc.start()
+    try:
+        build_system(1, 5, (-100000, 100000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def _chaotic_fixpoint(system, rng):
