@@ -202,9 +202,14 @@ def _row_template(render, width: int) -> str:
 
 # -- argument helpers -----------------------------------------------------
 
-def _shown(text: str) -> str:
-    """`repr(text)`, cut to its first 40 characters when it is longer."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+def _shown(text: str, tail: bool = False) -> str:
+    """`repr(text)`, cut to its first 40 characters when it is longer, or
+    to its last 40 with `tail` (a path, whose file name ends it)."""
+    if len(text) <= 40:
+        return repr(text)
+    if tail:
+        return f"...{text[-40:]!r} ({len(text)} characters)"
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _int(text: str) -> int:
@@ -263,17 +268,18 @@ def _resolve_knot(args):
         raise UsageError(
             f"--knot {_shown(spec_str)} needs a catalog (--catalog or ${CATALOG_ENV})"
         )
+    shown = _shown(path, tail=True)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             catalog = knots.load_catalog(fh.read())
     except OSError as e:  # its text would repeat the path whole
-        raise UsageError(f"catalog {_shown(path)}: {e.strerror}")
-    except knots.CatalogError as e:
-        raise UsageError(f"catalog {_shown(path)}: {e}")
+        raise UsageError(f"catalog {shown}: {e.strerror}")
+    except (knots.CatalogError, UnicodeDecodeError) as e:
+        raise UsageError(f"catalog {shown}: {e}")
     for k in catalog:
         if k.name == spec_str:
             return k
-    raise UsageError(f"knot {_shown(spec_str)} not found in catalog {_shown(path)}")
+    raise UsageError(f"knot {_shown(spec_str)} not found in catalog {shown}")
 
 
 # -- subcommands ----------------------------------------------------------

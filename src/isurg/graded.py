@@ -14,7 +14,9 @@ class _GradedDim:
 
     Each subclass's `__init__` tests its entries with one chained
     expression and calls `_reject` only when that test fails, so a valid
-    vector pays for no call per entry.
+    vector pays for no call per entry.  It then stores each entry through
+    the field's slot descriptor, bound once below the class: cheaper than
+    `object.__setattr__`, and like it not stopped by frozenness.
     """
 
     __slots__ = ()
@@ -39,11 +41,14 @@ class GradedDimZ2(_GradedDim):
     def __init__(self, d0: int, d1: int):
         if not (isinstance(d0, int) and d0 >= 0 and isinstance(d1, int) and d1 >= 0):
             self._reject((d0, d1))
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "d1", d1)
+        _z2_d0(self, d0)
+        _z2_d1(self, d1)
 
     def entries(self) -> tuple:
         return (self.d0, self.d1)
+
+
+_z2_d0, _z2_d1 = GradedDimZ2.d0.__set__, GradedDimZ2.d1.__set__
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -59,13 +64,18 @@ class GradedDimZ4(_GradedDim):
         if not (isinstance(d0, int) and d0 >= 0 and isinstance(d1, int) and d1 >= 0
                 and isinstance(d2, int) and d2 >= 0 and isinstance(d3, int) and d3 >= 0):
             self._reject((d0, d1, d2, d3))
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "d3", d3)
+        _z4_d0(self, d0)
+        _z4_d1(self, d1)
+        _z4_d2(self, d2)
+        _z4_d3(self, d3)
 
     def entries(self) -> tuple:
         return (self.d0, self.d1, self.d2, self.d3)
+
+
+_z4_d0, _z4_d1, _z4_d2, _z4_d3 = (
+    GradedDimZ4.d0.__set__, GradedDimZ4.d1.__set__, GradedDimZ4.d2.__set__, GradedDimZ4.d3.__set__
+)
 
 
 def collapse_z4_to_z2(v: GradedDimZ4) -> GradedDimZ2:

@@ -45,8 +45,11 @@ are exactly those of the unskipped sweeps; about 3 visits per slope run.
 A visit applies C3, C4, C5 and C6 at its slope, in that order, in one loop
 body (`_apply`) that states each rule once.  Most candidate bounds a rule
 computes are no tighter than the bound already there (about four in five
-over a typical solve), so an update is called only for a strictly tighter
-candidate; the tightenings and their order stay the same.
+over a typical solve), so only a strictly tighter one is stored.  The rule
+stores it into `lo`/`hi` itself and stamps the slope's tick; it calls
+`_check_lo`/`_check_hi`, which append the trace entry or raise, only in a
+traced solve or for a bound that crosses the opposite one.  The
+tightenings and their order are the same either way.
 
 The bounds are two flat lists, `lo` and `hi` (None = unbounded above),
 with STRIDE = 3 entries per slope; a visit reads and writes them by index,
@@ -85,7 +88,7 @@ R = 124,998 on with four constraints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .graded import GradedDimZ2
@@ -158,7 +161,6 @@ class TraceEntry:
         }
 
 
-@dataclass
 class ConstraintSystem:
     """Interval bounds at every padded slope, and the rules that narrow them.
 
@@ -169,34 +171,30 @@ class ConstraintSystem:
     access; writing into that copy changes nothing.
     """
 
-    genus: int
-    lspace_slope: int
-    lo_slope: int
-    hi_slope: int
-    dropped: frozenset = frozenset()
-    traced: bool = False     # record every tightening in `trace`
-    lo: list = field(init=False, default_factory=list)
-    hi: list = field(init=False, default_factory=list)
-    trace: list = field(init=False, default_factory=list)
-    applications: int = field(init=False, default=0)
-    sweeps: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        if self.genus < 1:
+    def __init__(self, genus, lspace_slope, lo_slope, hi_slope,
+                 dropped=frozenset(), traced=False):
+        if genus < 1:
             raise ValueError("genus must be >= 1")
-        if self.lspace_slope < 2 * self.genus - 1:
-            raise ValueError(
-                f"lspace_slope must be >= 2g-1 = {2 * self.genus - 1}"
-            )
-        if self.lo_slope > self.hi_slope:
+        if lspace_slope < 2 * genus - 1:
+            raise ValueError(f"lspace_slope must be >= 2g-1 = {2 * genus - 1}")
+        if lo_slope > hi_slope:
             raise ValueError("empty slope range")
-        bad = self.dropped - set(CONSTRAINT_IDS)
+        bad = dropped - set(CONSTRAINT_IDS)
         if bad:
             raise ValueError(f"unknown constraint ids: {sorted(bad)}")
+        self.genus = genus
+        self.lspace_slope = lspace_slope
+        self.lo_slope = lo_slope
+        self.hi_slope = hi_slope
+        self.dropped = dropped
+        self.traced = traced     # record every tightening in `trace`
+        self.trace = []
+        self.applications = 0
+        self.sweeps = 0
         # Pad so that boundary slopes still sit inside triangles, so the base
         # slope is always present, and so a negative slope is, where C6 holds.
-        self._lo = min(self.lo_slope, self.lspace_slope, 0) - PAD
-        self._hi = max(self.hi_slope, self.lspace_slope) + PAD
+        self._lo = min(lo_slope, lspace_slope, 0) - PAD
+        self._hi = max(hi_slope, lspace_slope) + PAD
         # The first sweep applies every active constraint at every slope, so a
         # range this wide is sure to hit the cap; refuse it before allocating.
         work = (self._hi - self._lo + 1) * sum(self._active())
@@ -224,18 +222,18 @@ class ConstraintSystem:
 
     # -- bound updates ----------------------------------------------------
     #
-    # Each takes a flat index into `lo`/`hi`.  C3-C6 call these only with a
-    # strictly tighter candidate; the helpers still check, so a call that
-    # does not tighten is a no-op.  A lower bound is never negative, so
-    # `value > lo[i]` also implies `value > 0`.
+    # A rule stores a strictly tighter bound into `lo`/`hi` itself and
+    # stamps its slope in `_changed_at`.  Before storing it calls one of
+    # these when the solve is traced or the new bound crosses the opposite
+    # one; they are the only code that appends a TraceEntry or raises
+    # ContradictionError.  Each takes a flat index into `lo`/`hi`.  A lower
+    # bound is never negative, so `value > lo[i]` also implies `value > 0`.
 
     def _slope_grading(self, i) -> tuple:
         p, grading = divmod(i, STRIDE)
         return self._lo + p, grading
 
-    def _raise_lo(self, i, value, cname, consumed) -> bool:
-        if value <= self.lo[i]:
-            return False
+    def _check_lo(self, i, value, cname, consumed):
         if self.traced:
             self.trace.append(TraceEntry(cname, *self._slope_grading(i), "lo", value, consumed))
         hi = self.hi[i]
@@ -246,15 +244,8 @@ class ConstraintSystem:
                 f"at slope {slope} (grading {grading})",
                 system=self,
             )
-        self.lo[i] = value
-        self._tick += 1
-        self._changed_at[i // STRIDE + 1] = self._tick
-        return True
 
-    def _lower_hi(self, i, value, cname, consumed) -> bool:
-        hi = self.hi[i]
-        if hi is not None and value >= hi:
-            return False
+    def _check_hi(self, i, value, cname, consumed):
         if self.traced:
             self.trace.append(TraceEntry(cname, *self._slope_grading(i), "hi", value, consumed))
         lo = self.lo[i]
@@ -265,10 +256,6 @@ class ConstraintSystem:
                 f"{lo} at slope {slope} (grading {grading})",
                 system=self,
             )
-        self.hi[i] = value
-        self._tick += 1
-        self._changed_at[i // STRIDE + 1] = self._tick
-        return True
 
     # -- constraints ------------------------------------------------------
     #
@@ -278,14 +265,23 @@ class ConstraintSystem:
     def _c1(self, n) -> bool:
         if n != self.lspace_slope:
             return False
-        m = self.lspace_slope
+        lo, hi = self.lo, self.hi
+        start = self._tick
         i = STRIDE * (n - self._lo)
-        changed = self._raise_lo(i, m, "C1", ())
-        changed |= self._lower_hi(i, m, "C1", ())
-        changed |= self._lower_hi(i + 1, 0, "C1", ())
-        changed |= self._raise_lo(i + TOTAL, m, "C1", ())
-        changed |= self._lower_hi(i + TOTAL, m, "C1", ())
-        return changed
+        # Pin d0 and the total to m (= n) and d1 to 0, whose lower bound is 0 already.
+        for j, v in ((i, n), (i + 1, 0), (i + TOTAL, n)):
+            if v > lo[j]:
+                self._check_lo(j, v, "C1", ())
+                lo[j] = v
+                self._tick += 1
+            if hi[j] is None or v < hi[j]:
+                self._check_hi(j, v, "C1", ())
+                hi[j] = v
+                self._tick += 1
+        if self._tick == start:
+            return False
+        self._changed_at[n - self._lo + 1] = self._tick
+        return True
 
     # C2, the total dimension 1 of the unsurgered S^3, enters as the
     # constant anchor in C4's triangle sums.
@@ -310,20 +306,21 @@ class ConstraintSystem:
         skip a visit whose window n-1..n+1 has no bound change newer than
         that.  A C3 or C4 check whose bounds are in the pinned state where
         every candidate equals its bound (see the module docstring) is
-        skipped, but still counted.  Each constraint run counts one
-        application; a visit that would take `applications` past
-        MAX_APPLICATIONS is counted but not run, and ends the call."""
+        skipped, but still counted.  A visit counts one application per
+        flagged constraint when it starts; one that takes `applications`
+        past MAX_APPLICATIONS is counted but not run, and ends the call."""
         lo = self.lo
         hi = self.hi
-        raise_lo = self._raise_lo
-        lower_hi = self._lower_hi
+        traced = self.traced
+        check_lo = self._check_lo
+        check_hi = self._check_hi
         changed_at = self._changed_at
         s = 2 * self.genus - 1
         first = self._lo
         top = self._hi
         s3 = self._S3_TOTAL
         per_visit = c3 + c4 + c5 + c6
-        start = self._tick
+        start = tick = self._tick
         applications = self.applications
         try:
             for n in slopes:
@@ -333,15 +330,14 @@ class ConstraintSystem:
                     # changed_at holds slope n at p + 1
                     if changed_at[p] <= seen and changed_at[p + 1] <= seen and changed_at[p + 2] <= seen:
                         continue
-                    visited[p] = self._tick
-                if applications + per_visit > MAX_APPLICATIONS:
-                    applications += per_visit
+                    visited[p] = tick
+                applications += per_visit
+                if applications > MAX_APPLICATIONS:
                     break
                 i0 = STRIDE * p  # d0; d1 and the total follow
                 i1 = i0 + 1
                 it = i0 + TOTAL
                 if c3:
-                    applications += 1
                     k = abs(n)
                     a, b, t = lo[i0], lo[i1], lo[it]
                     if not (hi[i0] == a and hi[i1] == b and hi[it] == t
@@ -349,88 +345,145 @@ class ConstraintSystem:
                         # pairwise euler coupling: d0 = d1 + k
                         v = lo[i1] + k
                         if v > lo[i0]:
-                            raise_lo(i0, v, "C3", (n,))
+                            if traced or (hi[i0] is not None and v > hi[i0]):
+                                check_lo(i0, v, "C3", (n,))
+                            lo[i0] = v
+                            changed_at[p + 1] = tick = tick + 1
                         if hi[i1] is not None:
                             v = hi[i1] + k
                             if hi[i0] is None or v < hi[i0]:
-                                lower_hi(i0, v, "C3", (n,))
+                                if traced or v < lo[i0]:
+                                    check_hi(i0, v, "C3", (n,))
+                                hi[i0] = v
+                                changed_at[p + 1] = tick = tick + 1
                         v = lo[i0] - k
                         if v > lo[i1]:
-                            raise_lo(i1, v, "C3", (n,))
+                            if traced or (hi[i1] is not None and v > hi[i1]):
+                                check_lo(i1, v, "C3", (n,))
+                            lo[i1] = v
+                            changed_at[p + 1] = tick = tick + 1
                         if hi[i0] is not None:
                             v = max(hi[i0] - k, 0)
                             if hi[i1] is None or v < hi[i1]:
-                                lower_hi(i1, v, "C3", (n,))
+                                if traced or v < lo[i1]:
+                                    check_hi(i1, v, "C3", (n,))
+                                hi[i1] = v
+                                changed_at[p + 1] = tick = tick + 1
                         # total = 2*d1 + k = 2*d0 - k
                         v = 2 * lo[i1] + k
                         if v > lo[it]:
-                            raise_lo(it, v, "C3", (n,))
+                            if traced or (hi[it] is not None and v > hi[it]):
+                                check_lo(it, v, "C3", (n,))
+                            lo[it] = v
+                            changed_at[p + 1] = tick = tick + 1
                         if hi[i1] is not None:
                             v = 2 * hi[i1] + k
                             if hi[it] is None or v < hi[it]:
-                                lower_hi(it, v, "C3", (n,))
+                                if traced or v < lo[it]:
+                                    check_hi(it, v, "C3", (n,))
+                                hi[it] = v
+                                changed_at[p + 1] = tick = tick + 1
                         v = -((k - lo[it]) // 2)  # ceil((t.lo - k) / 2)
                         if v > lo[i1]:
-                            raise_lo(i1, v, "C3", (n,))
+                            if traced or (hi[i1] is not None and v > hi[i1]):
+                                check_lo(i1, v, "C3", (n,))
+                            lo[i1] = v
+                            changed_at[p + 1] = tick = tick + 1
                         if hi[it] is not None:
                             v = max((hi[it] - k) // 2, 0)
                             if hi[i1] is None or v < hi[i1]:
-                                lower_hi(i1, v, "C3", (n,))
+                                if traced or v < lo[i1]:
+                                    check_hi(i1, v, "C3", (n,))
+                                hi[i1] = v
+                                changed_at[p + 1] = tick = tick + 1
                         v = -((-lo[it] - k) // 2)  # ceil((t.lo + k) / 2)
                         if v > lo[i0]:
-                            raise_lo(i0, v, "C3", (n,))
+                            if traced or (hi[i0] is not None and v > hi[i0]):
+                                check_lo(i0, v, "C3", (n,))
+                            lo[i0] = v
+                            changed_at[p + 1] = tick = tick + 1
                         if hi[it] is not None:
                             v = (hi[it] + k) // 2
                             if hi[i0] is None or v < hi[i0]:
-                                lower_hi(i0, v, "C3", (n,))
+                                if traced or v < lo[i0]:
+                                    check_hi(i0, v, "C3", (n,))
+                                hi[i0] = v
+                                changed_at[p + 1] = tick = tick + 1
                 if c4:
-                    applications += 1
                     # Triangle (infinity, n, n+1): each total <= sum of the others.
                     if n < top:
                         iu = it + STRIDE
                         t, u = lo[it], lo[iu]
                         if not (hi[it] == t and hi[iu] == u
                                 and -s3 <= t - u <= s3 and t + u >= s3):
-                            for ia, ib, b in ((it, iu, n + 1), (iu, it, n)):
+                            # qa: changed_at position of ia's slope
+                            for ia, qa, ib, b in ((it, p + 1, iu, n + 1), (iu, p + 2, it, n)):
                                 if hi[ib] is not None:
                                     v = hi[ib] + s3
                                     if hi[ia] is None or v < hi[ia]:
-                                        lower_hi(ia, v, "C4", (b, "inf"))
+                                        if traced or v < lo[ia]:
+                                            check_hi(ia, v, "C4", (b, "inf"))
+                                        hi[ia] = v
+                                        changed_at[qa] = tick = tick + 1
                                     v = s3 - hi[ib]
                                     if v > lo[ia]:
-                                        raise_lo(ia, v, "C4", (b, "inf"))
+                                        if traced or (hi[ia] is not None and v > hi[ia]):
+                                            check_lo(ia, v, "C4", (b, "inf"))
+                                        lo[ia] = v
+                                        changed_at[qa] = tick = tick + 1
                                 v = lo[ib] - s3
                                 if v > lo[ia]:
-                                    raise_lo(ia, v, "C4", (b, "inf"))
+                                    if traced or (hi[ia] is not None and v > hi[ia]):
+                                        check_lo(ia, v, "C4", (b, "inf"))
+                                    lo[ia] = v
+                                    changed_at[qa] = tick = tick + 1
                 if c5:
-                    applications += 1
                     # Adjunction: total(n) = total(n-1) + 1 once n - 1 >= 2g - 1 > 0.
                     if n > s:
                         ip = it - STRIDE
                         if hi[ip] is not None:
                             v = hi[ip] + 1
                             if hi[it] is None or v < hi[it]:
-                                lower_hi(it, v, "C5", (n - 1,))
+                                if traced or v < lo[it]:
+                                    check_hi(it, v, "C5", (n - 1,))
+                                hi[it] = v
+                                changed_at[p + 1] = tick = tick + 1
                         v = lo[ip] + 1
                         if v > lo[it]:
-                            raise_lo(it, v, "C5", (n - 1,))
+                            if traced or (hi[it] is not None and v > hi[it]):
+                                check_lo(it, v, "C5", (n - 1,))
+                            lo[it] = v
+                            changed_at[p + 1] = tick = tick + 1
                         if hi[it] is not None:
                             v = hi[it] - 1
                             if hi[ip] is None or v < hi[ip]:
-                                lower_hi(ip, v, "C5", (n,))
+                                if traced or v < lo[ip]:
+                                    check_hi(ip, v, "C5", (n,))
+                                hi[ip] = v
+                                changed_at[p] = tick = tick + 1
                         v = lo[it] - 1
                         if v > lo[ip]:
-                            raise_lo(ip, v, "C5", (n,))
+                            if traced or (hi[ip] is not None and v > hi[ip]):
+                                check_lo(ip, v, "C5", (n,))
+                            lo[ip] = v
+                            changed_at[p] = tick = tick + 1
                 if c6:
-                    applications += 1
                     if n < 0:
-                        if s - n > lo[i0]:
-                            raise_lo(i0, s - n, "C6", ())
+                        v = s - n
+                        if v > lo[i0]:
+                            if traced or (hi[i0] is not None and v > hi[i0]):
+                                check_lo(i0, v, "C6", ())
+                            lo[i0] = v
+                            changed_at[p + 1] = tick = tick + 1
                         if s > lo[i1]:
-                            raise_lo(i1, s, "C6", ())
+                            if traced or hi[i1] is not None and s > hi[i1]:
+                                check_lo(i1, s, "C6", ())
+                            lo[i1] = s
+                            changed_at[p + 1] = tick = tick + 1
         finally:
             self.applications = applications
-        return self._tick != start
+            self._tick = tick
+        return tick != start
 
     # -- driver -----------------------------------------------------------
 

@@ -117,7 +117,7 @@ def test_catalog_int_too_long_exits_2(capsys, tmp_path, int_digit_limit):
     code, out, err = run(capsys, "dims", "--knot", "k", "--n", "0", "--catalog", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: catalog {cli._shown(str(path))}: catalog is not valid JSON")
+    assert err.startswith(f"error: catalog {cli._shown(str(path), tail=True)}: catalog is not valid JSON")
 
 
 # A JSON true is a Python int, and 2.5 used to fail later as a bad dimension.
@@ -128,7 +128,7 @@ def test_catalog_genus_of_the_wrong_type_exits_2(capsys, tmp_path, genus):
     code, out, err = run(capsys, "dims", "--knot", "k", "--n", "0", "--z4", "--catalog", str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: catalog {cli._shown(str(path))}: knots[0] (k): genus must be an integer, got {genus}\n"
+    assert err == f"error: catalog {cli._shown(str(path), tail=True)}: knots[0] (k): genus must be an integer, got {genus}\n"
 
 
 # "false" is a non-empty string: read with bool() it counted as true and
@@ -141,7 +141,7 @@ def test_catalog_lens_surgery_of_the_wrong_type_exits_2(capsys, tmp_path, lens):
     code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--z4", "--catalog", str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: catalog {cli._shown(str(path))}: knots[0] (k): lens_surgery must be true or false, got {lens}\n"
+    assert err == f"error: catalog {cli._shown(str(path), tail=True)}: knots[0] (k): lens_surgery must be true or false, got {lens}\n"
 
 
 def test_catalog_name_of_the_wrong_type_exits_2(capsys, tmp_path):
@@ -150,7 +150,7 @@ def test_catalog_name_of_the_wrong_type_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--catalog", str(path))
     assert code == 2
     assert out == ""
-    assert err == f'error: catalog {cli._shown(str(path))}: knots[0]: name must be a string, got ["k"]\n'
+    assert err == f'error: catalog {cli._shown(str(path), tail=True)}: knots[0]: name must be a string, got ["k"]\n'
 
 
 def test_dims_z4_warning_without_lens_flag(capsys, tmp_path):
@@ -493,18 +493,20 @@ def _long_path(tmp_path):
     (None, os.strerror(errno.ENOENT)),
     ('{"knots": 1}', 'catalog must be an object with a "knots" list'),
     ('{"knots": []}', None),
+    (b"\xff\xfe\x00", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ])
 def test_long_catalog_path_is_echoed_once_in_short(capsys, tmp_path, content, message):
     path = _long_path(tmp_path)
     if content is not None:
         path.parent.mkdir()
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
     code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--catalog", str(path))
     assert code == 2
     assert out == ""
     assert len(err) < 300
-    assert err.count(str(path)[:40]) == 1
-    shown = f"{str(path)[:40]!r}... ({len(str(path))} characters)"
+    # The end of the path, where its file name is, is shown once.
+    assert err.count(str(path)[-40:]) == 1
+    shown = f"...{str(path)[-40:]!r} ({len(str(path))} characters)"
     if message is None:
         assert err == f"error: knot 'k' not found in catalog {shown}\n"
     else:
@@ -566,7 +568,7 @@ def test_long_knot_name_is_echoed_in_short(capsys, tmp_path, monkeypatch):
     path.write_text('{"knots": [{"name": "k", "genus": 1, "max_self_linking": 1}]}')
     code, _, err = run(capsys, "dims", "--knot", name, "--n", "1", "--catalog", str(path))
     assert code == 2
-    assert err == f"error: knot {name[:40]!r}... (5000 characters) not found in catalog {cli._shown(str(path))}\n"
+    assert err == f"error: knot {name[:40]!r}... (5000 characters) not found in catalog {cli._shown(str(path), tail=True)}\n"
 
 
 @pytest.mark.parametrize("text, message", [
