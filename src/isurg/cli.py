@@ -18,13 +18,14 @@ every other command's dict rows, with each int as a `%d` slot; each row
 is then one `template % row` and one `write`.  Exit codes: 0 success, 2
 usage/validation error (including a `dims` range of more than MAX_ITEMS
 slopes, a `legendrian` target tb that gives more than MAX_ITEMS rotation
-numbers, a `--c1sq` whose numerator or denominator would pass Python's
-limit on int digits, and a result holding an integer too long for Python
-to convert to text, after which the part of the record already written
-stays on stdout, in every format, and any warning still reaches stderr),
-3 mathematical failure (contradiction or undetermined oracle).  A usage
-error echoes at most the first 40 characters of a bad argument or
-`--catalog` path.
+numbers, a `--catalog` file of more than MAX_CATALOG_BYTES bytes, a
+`--c1sq` whose numerator or denominator would pass Python's limit on int
+digits, and a result holding an integer too long for Python to convert
+to text, after which the part of the record already written stays on
+stdout, in every format, and any warning still reaches stderr), 3
+mathematical failure (contradiction or undetermined oracle).  A usage
+error echoes at most 40 characters of a bad argument: the first 40, or
+the last 40 of a `--catalog` path.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ CATALOG_ENV = "ISURG_CATALOG"
 # its rows, so for it this bounds only the run time; `legendrian` holds
 # every rotation number in its one row.
 MAX_ITEMS = 10**6
+
+# A longer `--catalog` file is refused; at most one byte past this is read.
+MAX_CATALOG_BYTES = 2**20
 
 
 class UsageError(Exception):
@@ -270,8 +274,11 @@ def _resolve_knot(args):
         )
     shown = _shown(path, tail=True)
     try:
-        with open(path, encoding="utf-8") as fh:
-            catalog = knots.load_catalog(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CATALOG_BYTES + 1)
+        if len(data) > MAX_CATALOG_BYTES:
+            raise UsageError(f"catalog {shown}: more than {MAX_CATALOG_BYTES} bytes")
+        catalog = knots.load_catalog(data.decode("utf-8"))
     except OSError as e:  # its text would repeat the path whole
         raise UsageError(f"catalog {shown}: {e.strerror}")
     except (knots.CatalogError, UnicodeDecodeError) as e:
@@ -339,10 +346,6 @@ def cmd_oracle(args) -> dict:
     from . import oracle
     g = args.genus
     m = args.lspace_slope
-    if g < 1:
-        raise UsageError("genus must be >= 1")
-    if m < 2 * g - 1:
-        raise UsageError(f"lspace-slope must be >= 2g-1 = {2 * g - 1}")
     drop = frozenset(args.drop_constraint or [])
     try:
         system = oracle.build_system(g, m, args.range, drop=drop, trace=args.trace)

@@ -52,8 +52,7 @@ traced solve or for a bound that crosses the opposite one.  The
 tightenings and their order are the same either way.
 
 The bounds are two flat lists, `lo` and `hi` (None = unbounded above),
-with STRIDE = 3 entries per slope; a visit reads and writes them by index,
-and DimIntervals are built only when `bounds` is read.
+with STRIDE = 3 entries per slope; a visit reads and writes them by index.
 
 About one visit in three still finds its slope settled, and two rule
 checks are skipped where no candidate can be tighter than its bound:
@@ -73,8 +72,8 @@ tick; it still counts as an application.  Any other state runs the full
 rule, so a pinned but inconsistent slope or pair still raises
 ContradictionError.
 
-The trace is built only on request (`build_system(..., trace=True)`, as
-the CLI's `--trace` does); by default `trace` stays empty, and nothing
+The trace is built only on request (`ConstraintSystem(..., trace=True)`,
+as the CLI's `--trace` does); by default `trace` stays empty, and nothing
 else depends on the choice.
 
 MAX_APPLICATIONS stays a fixed 10**6 and binds from R of about 41k on.  It
@@ -88,8 +87,7 @@ R = 124,998 on with four constraints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .graded import GradedDimZ2
 
@@ -126,29 +124,11 @@ class NotDeterminedError(Exception):
         self.system = system
 
 
-@dataclass(slots=True)
-class DimInterval:
-    lo: int = 0
-    hi: Optional[int] = None  # None = unbounded above
+class TraceEntry(namedtuple("TraceEntry", "constraint slope grading bound value consumed")):
+    """A tightening: constraint (C1..C6), slope, grading (2 = total), bound
+    ("lo" or "hi"), new value, and the slopes read ("inf" = anchor)."""
 
-    def __post_init__(self):
-        if self.lo < 0:
-            raise ValueError("lo must be nonnegative")
-        if self.hi is not None and self.hi < self.lo:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    def pinned(self) -> bool:
-        return self.hi is not None and self.lo == self.hi
-
-
-@dataclass(slots=True)
-class TraceEntry:
-    constraint: str          # one of C1..C6
-    slope: int               # slope whose bound changed
-    grading: int             # 0, 1, or 2 for the total-dimension interval
-    bound: str               # "lo" or "hi"
-    value: int
-    consumed: tuple          # slopes whose bounds were read ("inf" = anchor)
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -162,32 +142,34 @@ class TraceEntry:
 
 
 class ConstraintSystem:
-    """Interval bounds at every padded slope, and the rules that narrow them.
+    """Interval bounds at every padded slope, and the rules that narrow them,
+    for a genus-g knot with L-space slope m over slope_range = (lo, hi),
+    with the constraint ids in `drop` left out.
 
     The bounds live in two flat lists, `lo` and `hi` (None = unbounded
     above), with STRIDE entries per slope: grading 0, grading 1 and the
     total, slopes ascending from the first padded one.  `bounds` gives
-    them as {slope: [d0, d1, total]} of DimIntervals, built afresh on each
-    access; writing into that copy changes nothing.
+    them as {slope: [d0, d1, total]} of (lo, hi) pairs, built afresh on
+    each access; writing into that copy changes nothing.
     """
 
-    def __init__(self, genus, lspace_slope, lo_slope, hi_slope,
-                 dropped=frozenset(), traced=False):
+    def __init__(self, genus, lspace_slope, slope_range, drop=(), trace=False):
+        lo_slope, hi_slope = slope_range
         if genus < 1:
             raise ValueError("genus must be >= 1")
         if lspace_slope < 2 * genus - 1:
             raise ValueError(f"lspace_slope must be >= 2g-1 = {2 * genus - 1}")
         if lo_slope > hi_slope:
             raise ValueError("empty slope range")
-        bad = dropped - set(CONSTRAINT_IDS)
+        self.dropped = frozenset(drop)
+        bad = self.dropped - set(CONSTRAINT_IDS)
         if bad:
             raise ValueError(f"unknown constraint ids: {sorted(bad)}")
         self.genus = genus
         self.lspace_slope = lspace_slope
         self.lo_slope = lo_slope
         self.hi_slope = hi_slope
-        self.dropped = dropped
-        self.traced = traced     # record every tightening in `trace`
+        self.traced = trace      # record every tightening in `trace`
         self.trace = []
         self.applications = 0
         self.sweeps = 0
@@ -214,11 +196,8 @@ class ConstraintSystem:
 
     @property
     def bounds(self) -> dict:
-        lo, hi = self.lo, self.hi
-        return {
-            n: [DimInterval(lo[i + k], hi[i + k]) for k in range(STRIDE)]
-            for n, i in zip(range(self._lo, self._hi + 1), range(0, len(lo), STRIDE))
-        }
+        pairs = list(zip(self.lo, self.hi))
+        return {self._lo + p: pairs[STRIDE * p:STRIDE * (p + 1)] for p in range(len(pairs) // STRIDE)}
 
     # -- bound updates ----------------------------------------------------
     #
@@ -260,7 +239,7 @@ class ConstraintSystem:
     # -- constraints ------------------------------------------------------
     #
     # Each returns whether it changed a bound.  C3-C6 are stated once, in
-    # _apply; _c3-_c6 apply one of them at one slope.
+    # _apply.
 
     def _c1(self, n) -> bool:
         if n != self.lspace_slope:
@@ -286,18 +265,6 @@ class ConstraintSystem:
     # C2, the total dimension 1 of the unsurgered S^3, enters as the
     # constant anchor in C4's triangle sums.
     _S3_TOTAL = 1
-
-    def _c3(self, n) -> bool:
-        return self._apply((n,), True, False, False, False)
-
-    def _c4(self, n) -> bool:
-        return self._apply((n,), False, True, False, False)
-
-    def _c5(self, n) -> bool:
-        return self._apply((n,), False, False, True, False)
-
-    def _c6(self, n) -> bool:
-        return self._apply((n,), False, False, False, True)
 
     def _apply(self, slopes, c3, c4, c5, c6, visited=None) -> bool:
         """Visit each slope in turn and apply the flagged constraints among
@@ -362,8 +329,11 @@ class ConstraintSystem:
                                 check_lo(i1, v, "C3", (n,))
                             lo[i1] = v
                             changed_at[p + 1] = tick = tick + 1
+                        # Neither upper bound from hi - k needs max(., 0): the steps
+                        # before it left lo[i0] >= lo[i1] + k, or lo[it] >= 2*lo[i1] + k,
+                        # so lo >= k, and a store that would cross raises: hi >= lo >= k.
                         if hi[i0] is not None:
-                            v = max(hi[i0] - k, 0)
+                            v = hi[i0] - k
                             if hi[i1] is None or v < hi[i1]:
                                 if traced or v < lo[i1]:
                                     check_hi(i1, v, "C3", (n,))
@@ -390,7 +360,7 @@ class ConstraintSystem:
                             lo[i1] = v
                             changed_at[p + 1] = tick = tick + 1
                         if hi[it] is not None:
-                            v = max((hi[it] - k) // 2, 0)
+                            v = (hi[it] - k) // 2
                             if hi[i1] is None or v < hi[i1]:
                                 if traced or v < lo[i1]:
                                     check_hi(i1, v, "C3", (n,))
@@ -492,11 +462,6 @@ class ConstraintSystem:
         dropped = self.dropped | ({"C4"} if "C2" in self.dropped else set())
         return tuple(cname not in dropped for cname in ("C3", "C4", "C5", "C6"))
 
-    def _steps(self) -> list:
-        """The active constraints among C3-C6 as one-slope calls, in order."""
-        steps = (self._c3, self._c4, self._c5, self._c6)
-        return [step for step, on in zip(steps, self._active()) if on]
-
     def solve(self) -> dict:
         """Propagate to a fixpoint; returns {slope: GradedDimZ2} over the
         requested range, in slope order.  Raises ContradictionError or
@@ -550,22 +515,13 @@ class ConstraintSystem:
         return dict(zip(slopes, map(GradedDimZ2, lo0, lo1)))
 
 
-def build_system(g, m, slope_range, drop=(), trace=False) -> ConstraintSystem:
-    lo, hi = slope_range
-    return ConstraintSystem(
-        genus=g,
-        lspace_slope=m,
-        lo_slope=lo,
-        hi_slope=hi,
-        dropped=frozenset(drop),
-        traced=trace,
-    )
+build_system = ConstraintSystem
 
 
 def solve(g, m, slope_range, drop=()) -> dict:
     """Re-derive dims at every slope in slope_range for a genus-g knot with
     L-space slope m, from constraints C1-C6 alone."""
-    return build_system(g, m, slope_range, drop=drop).solve()
+    return ConstraintSystem(g, m, slope_range, drop).solve()
 
 
 def solve_trefoil_family(n_max: int) -> dict:

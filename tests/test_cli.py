@@ -278,10 +278,14 @@ def test_oracle_exit3_lists_repeated_drop_once(capsys):
     assert json.loads(out)["inputs"]["dropped"] == ["C5"]
 
 
-def test_oracle_precondition_exit_2(capsys):
-    code, _, err = run(capsys, "oracle", "--genus", "2", "--lspace-slope", "2", "--range", "0:0")
-    assert code == 2
-    assert "2g-1" in err
+@pytest.mark.parametrize("genus, slope, message", [
+    pytest.param("0", "5", "genus must be >= 1", id="genus-0"),
+    pytest.param("2", "2", "lspace_slope must be >= 2g-1 = 3", id="slope-below-2g-1"),
+])
+def test_oracle_precondition_exit_2(capsys, genus, slope, message):
+    code, out, err = run(capsys, "oracle", "--genus", genus, "--lspace-slope", slope, "--range", "0:0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_oracle_at_minimal_slope_succeeds(capsys):
@@ -481,6 +485,20 @@ def test_short_torus_spec_is_echoed_whole(capsys):
     code, _, err = run(capsys, "dims", "--knot", "torus:4,6", "--n", "1")
     assert code == 2
     assert err == "error: torus knot parameters must be coprime, got 'torus:4,6'\n"
+
+
+def test_catalog_past_the_byte_limit_exits_2(capsys, tmp_path):
+    # A valid catalog padded with spaces is read at exactly the limit and
+    # refused one byte past it, before it is decoded or parsed.
+    path = tmp_path / "cat.json"
+    doc = json.dumps({"knots": [{"name": "k", "genus": 1, "max_self_linking": 1}]}).encode()
+    path.write_bytes(doc.ljust(cli.MAX_CATALOG_BYTES))
+    code, out, _ = run(capsys, "dims", "--knot", "k", "--n", "1", "--catalog", str(path))
+    assert code == 0 and "z2_d0=" in out
+    path.write_bytes(doc.ljust(cli.MAX_CATALOG_BYTES + 1))
+    code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: catalog {cli._shown(str(path), tail=True)}: more than {cli.MAX_CATALOG_BYTES} bytes\n"
 
 
 # A catalog path of over 400 characters, in directories that each hold a

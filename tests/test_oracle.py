@@ -10,22 +10,12 @@ from isurg.graded import GradedDimZ2
 from isurg.oracle import (
     CONSTRAINT_IDS,
     ContradictionError,
-    DimInterval,
     NotDeterminedError,
     build_system,
     solve,
     solve_trefoil_family,
 )
 from isurg.surgery import dims_z2, trefoil_one_over_n
-
-
-def test_dim_interval_invariants():
-    assert DimInterval(2, 2).pinned()
-    assert not DimInterval(0, None).pinned()
-    with pytest.raises(ValueError):
-        DimInterval(3, 2)
-    with pytest.raises(ValueError):
-        DimInterval(-1, 4)
 
 
 def test_base_case_only():
@@ -165,9 +155,23 @@ def _pin(system, n, grading, value):
     system.lo[i] = system.hi[i] = value
 
 
+RULES = ("C3", "C4", "C5", "C6")
+
+
+def _rule(system, cname):
+    """A call that applies `cname`, one of RULES, alone at one slope."""
+    flags = [c == cname for c in RULES]
+    return lambda n: system._apply((n,), *flags)
+
+
+def _rules(system):
+    """The active constraints among RULES, in order, as one-slope calls."""
+    return [_rule(system, c) for c, on in zip(RULES, system._active()) if on]
+
+
 def _contradiction_messages(pins, rule):
-    """The ContradictionError text of the one-slope rule `rule` ("_c3" or
-    "_c4") at slope 3, with `pins` ((slope, grading, value) triples) set,
+    """The ContradictionError text of the rule `rule` ("C3" or "C4") alone
+    at slope 3, with `pins` ((slope, grading, value) triples) set,
     untraced and traced.  Untraced, a crossing bound is caught by the test
     before the inline store; traced, every tightening goes through the
     helper."""
@@ -177,7 +181,7 @@ def _contradiction_messages(pins, rule):
         for n, grading, value in pins:
             _pin(system, n, grading, value)
         with pytest.raises(ContradictionError) as exc:
-            getattr(system, rule)(3)
+            _rule(system, rule)(3)
         messages.append(str(exc.value))
     return messages
 
@@ -190,7 +194,7 @@ def _contradiction_messages(pins, rule):
 def test_pinned_inconsistent_c3_slope_is_a_contradiction(d0, d1, total, message):
     # At slope 3 the euler relation wants d0 = d1 + 3 and total = d0 + d1.
     pins = [(3, grading, value) for grading, value in enumerate((d0, d1, total))]
-    assert _contradiction_messages(pins, "_c3") == [f"C3: {message}"] * 2
+    assert _contradiction_messages(pins, "C3") == [f"C3: {message}"] * 2
 
 
 @pytest.mark.parametrize("t3, t4, message", [
@@ -201,7 +205,7 @@ def test_pinned_inconsistent_c3_slope_is_a_contradiction(d0, d1, total, message)
 def test_pinned_inconsistent_c4_pair_is_a_contradiction(t3, t4, message):
     # The triangle with the anchor total 1 wants |t3 - t4| <= 1 <= t3 + t4.
     pins = [(3, oracle.TOTAL, t3), (4, oracle.TOTAL, t4)]
-    assert _contradiction_messages(pins, "_c4") == [f"C4: {message}"] * 2
+    assert _contradiction_messages(pins, "C4") == [f"C4: {message}"] * 2
 
 
 def test_pinned_consistent_checks_change_nothing_and_still_count():
@@ -210,14 +214,14 @@ def test_pinned_consistent_checks_change_nothing_and_still_count():
         _pin(system, 3, grading, value)
     _pin(system, 4, oracle.TOTAL, 4)
     lo, hi = list(system.lo), list(system.hi)
-    assert not system._c3(3)
-    assert not system._c4(3)
+    assert not _rule(system, "C3")(3)
+    assert not _rule(system, "C4")(3)
     assert (system.lo, system.hi, system.trace, system.applications) == (lo, hi, [], 2)
 
 
 def test_build_holds_no_object_per_bound():
     # Flat lists of small cached ints and None: about 10.7 MiB on CPython 3.11,
-    # where a DimInterval per bound took about 79 MiB.
+    # where an interval object per bound took about 79 MiB.
     tracemalloc.start()
     try:
         build_system(1, 5, (-100000, 100000))
@@ -230,10 +234,10 @@ def test_build_holds_no_object_per_bound():
 def _chaotic_fixpoint(system, rng):
     """Apply the system's constraints in random slope and constraint orders
     until no bound changes; independent of solve()'s sweep schedule."""
-    steps = system._steps()
+    steps = _rules(system)
     if "C1" not in system.dropped:
         steps.append(system._c1)
-    slopes = list(system.bounds)
+    slopes = list(range(system._lo, system._hi + 1))
     for _ in range(2 * len(slopes)):
         changed = False
         rng.shuffle(slopes)
@@ -242,7 +246,7 @@ def _chaotic_fixpoint(system, rng):
             for step in steps:
                 changed |= step(n)
         if not changed:
-            return system.bounds
+            return system.lo, system.hi
     raise AssertionError("no fixpoint within the pass limit")
 
 
@@ -253,19 +257,19 @@ def test_each_bound_change_stamps_its_own_slope(trace):
     solved = build_system(2, 5, (-12, 12))
     solved.solve()
     system = build_system(2, 5, (-12, 12), trace=trace)
-    steps = system._steps() + [system._c1]
+    steps = [(c, _rule(system, c)) for c in RULES] + [("C1", system._c1)]
     slopes = list(range(system._lo, system._hi + 1))
     rng = random.Random(0)
     for _ in range(20000):
         if (system.lo, system.hi) == (solved.lo, solved.hi):
             break
-        n, step = rng.choice(slopes), rng.choice(steps)
+        n, (cname, step) = rng.choice(slopes), rng.choice(steps)
         lo, hi, stamps = list(system.lo), list(system.hi), list(system._changed_at)
         step(n)
         changed = {i // oracle.STRIDE for i, bounds in enumerate(zip(lo, hi))
                    if bounds != (system.lo[i], system.hi[i])}
         stamped = {q - 1 for q, tick in enumerate(stamps) if tick != system._changed_at[q]}
-        assert stamped == changed, (n, step.__name__)
+        assert stamped == changed, (n, cname)
     else:
         raise AssertionError("no fixpoint within the step limit")
 
@@ -282,7 +286,7 @@ def test_fixpoint_is_order_independent(g, m_offset, drop):
         pass
     for seed in range(3):
         driven = build_system(g, m, (-25, 25), drop=drop)
-        assert _chaotic_fixpoint(driven, random.Random(seed)) == solved.bounds, seed
+        assert _chaotic_fixpoint(driven, random.Random(seed)) == (solved.lo, solved.hi), seed
 
 
 @pytest.mark.parametrize("g", (1, 2, 3))
@@ -292,7 +296,7 @@ def test_wide_range_solves_in_a_few_sweeps(g):
     # At most five sweeps of four constraints per slope, of which the
     # skipped visits save at least a fifth.
     assert system.sweeps <= 5
-    assert system.applications <= 0.8 * system.sweeps * len(system.bounds) * 4
+    assert system.applications <= 0.8 * system.sweeps * (len(system.lo) // oracle.STRIDE) * 4
 
 
 @settings(max_examples=25, deadline=None)
@@ -309,8 +313,8 @@ def _unskipped_sweeps(system):
     number of sweeps and of applications."""
     if "C1" not in system.dropped:
         system._c1(system.lspace_slope)
-    steps = system._steps()
-    order = sorted(system.bounds)
+    steps = _rules(system)
+    order = list(range(system._lo, system._hi + 1))
     sweeps = applications = 0
     while True:
         sweeps += 1
@@ -337,7 +341,7 @@ def test_skipped_visits_change_nothing(g, m_offset, drop):
     driven = build_system(g, m, (-25, 25), drop=drop, trace=True)
     sweeps, applications = _unskipped_sweeps(driven)
     assert solved.trace == driven.trace
-    assert solved.bounds == driven.bounds
+    assert (solved.lo, solved.hi) == (driven.lo, driven.hi)
     assert solved.sweeps == sweeps
     assert solved.applications <= applications
 
@@ -355,13 +359,13 @@ def test_skipped_visits_change_nothing_property(data):
     driven = build_system(g, m, (lo, hi), drop=drop, trace=True)
     sweeps, applications = _unskipped_sweeps(driven)
     assert solved.trace == driven.trace
-    assert solved.bounds == driven.bounds
+    assert (solved.lo, solved.hi) == (driven.lo, driven.hi)
     assert solved.sweeps == sweeps
     assert solved.applications <= applications
     # Untraced, the tightenings take the inline path instead of the helpers.
     untraced = build_system(g, m, (lo, hi), drop=drop)
     assert _outcome(untraced) == outcome
-    assert untraced.bounds == solved.bounds
+    assert (untraced.lo, untraced.hi) == (solved.lo, solved.hi)
     assert (untraced.sweeps, untraced.applications) == (solved.sweeps, solved.applications)
 
 
@@ -413,7 +417,7 @@ def test_cap_stops_a_solve_between_visits(monkeypatch):
         system = build_system(1, 5, (-10, 10), trace=True)
         with pytest.raises(NotDeterminedError, match="^application cap reached"):
             system.solve()
-        outcomes.append((system.applications, system.trace, system.bounds))
+        outcomes.append((system.applications, system.trace, system.lo, system.hi))
     assert outcomes[0][0] == 152
     assert all(outcome == outcomes[0] for outcome in outcomes)
 
@@ -445,7 +449,7 @@ def test_trace_changes_nothing_but_the_trace(g, m_offset, drop):
     traced = build_system(g, m, (-25, 25), drop=drop, trace=True)
     untraced = build_system(g, m, (-25, 25), drop=drop)
     assert _outcome(traced) == _outcome(untraced)
-    assert traced.bounds == untraced.bounds
+    assert (traced.lo, traced.hi) == (untraced.lo, untraced.hi)
     assert traced.sweeps == untraced.sweeps
     assert traced.applications == untraced.applications
     assert traced.trace
@@ -469,3 +473,21 @@ def test_too_wide_range_is_refused_before_allocating():
     # first sweep.
     with pytest.raises(ValueError, match="too wide"):
         build_system(1, 5, (-130000, 130000))
+
+
+def test_the_surface_the_benchmark_reads():
+    # perfbench/ builds systems positionally, counts slopes with
+    # len(system.bounds), reads `dropped`, `applications`, `trace` and the
+    # cap, and wraps ConstraintSystem.solve and TraceEntry.to_dict, whose
+    # key order every JSON trace keeps.
+    system = oracle.build_system(2, 7, (-6, 6), ("C6",), True)
+    assert isinstance(system, oracle.ConstraintSystem)
+    assert len(system.bounds) == len(system.lo) // oracle.STRIDE
+    with pytest.raises(NotDeterminedError):
+        oracle.ConstraintSystem.solve(system)
+    assert system.dropped == {"C6"}
+    assert 0 < system.applications <= oracle.MAX_APPLICATIONS
+    assert list(system.trace[0].to_dict().items()) == [
+        ("constraint", "C1"), ("slope", 7), ("grading", 0), ("bound", "lo"), ("value", 7), ("consumed", []),
+    ]
+    assert oracle.build_system(2, 7, (-6, 6)).solve() == {n: dims_z2(2, n) for n in range(-6, 7)}
