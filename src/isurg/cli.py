@@ -15,28 +15,31 @@ the run quietly with exit 0.  A `dims` row is a flat tuple of ints from
 `surgery.dims_rows`, which computes a range one closed-form regime at a
 time.  Once per record, a sample row goes through the writer that formats
 every other command's dict rows, with each int as a `%d` slot; each row
-is then one `template % row` and one `write`.  Exit codes: 0 success, 2
-usage/validation error (including a `dims` range of more than MAX_ITEMS
-slopes, a `legendrian` target tb that gives more than MAX_ITEMS rotation
-numbers, a `--catalog` file of more than MAX_CATALOG_BYTES bytes, a
-`--c1sq` whose numerator or denominator would pass Python's limit on int
-digits, and a result holding an integer too long for Python to convert
-to text, after which the part of the record already written stays on
-stdout, in every format, and any warning still reaches stderr), 3
-mathematical failure (contradiction or undetermined oracle).  A usage
-error echoes at most 40 characters of a bad argument: the first 40, or
-the last 40 of a `--catalog` path.
+is then one `template % row` and one `write`.
+
+Exit codes: 0 success; 2 when a `cmd_<name>` raises ValueError, whose
+text is written as `error: <text>`; 3 when it returns a record holding
+`error`, which is written as the JSON report whatever --format says.  A
+ValueError is the library's own refusal of its input, or a check of the
+CLI's: a `dims` range of more than MAX_ITEMS slopes, a `legendrian`
+target tb that gives more than MAX_ITEMS rotation numbers, a `--catalog`
+file of more than MAX_CATALOG_BYTES bytes, or a `--c1sq` whose numerator
+or denominator would pass Python's limit on int digits.  A result holding
+an integer too long for Python to convert to text also exits 2; the part
+of the record already written stays on stdout, in every format, and any
+warning still reaches stderr.  Exit 3 is a mathematical failure: an
+oracle contradiction or undetermined slopes.  A usage error echoes at
+most 40 characters of a bad argument: the first 40, or the last 40 of a
+`--catalog` path.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast  # already loaded: dataclasses imports it
 import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import surgery
 
@@ -53,10 +56,6 @@ MAX_ITEMS = 10**6
 
 # A longer `--catalog` file is refused; at most one byte past this is read.
 MAX_CATALOG_BYTES = 2**20
-
-
-class UsageError(Exception):
-    pass
 
 
 # -- output formatting ----------------------------------------------------
@@ -262,14 +261,14 @@ def _resolve_knot(args):
         try:
             p, q = (int(x) for x in spec_str[len("torus:"):].split(","))
         except ValueError:
-            raise UsageError(f"torus knot must look like torus:P,Q, got {_shown(spec_str)}")
+            raise ValueError(f"torus knot must look like torus:P,Q, got {_shown(spec_str)}")
         try:
             return knots.torus_knot(p, q)
         except ValueError as e:
-            raise UsageError(f"{e}, got {_shown(spec_str)}")
+            raise ValueError(f"{e}, got {_shown(spec_str)}")
     path = args.catalog or os.environ.get(CATALOG_ENV)
     if not path:
-        raise UsageError(
+        raise ValueError(
             f"--knot {_shown(spec_str)} needs a catalog (--catalog or ${CATALOG_ENV})"
         )
     shown = _shown(path, tail=True)
@@ -277,16 +276,16 @@ def _resolve_knot(args):
         with open(path, "rb") as fh:
             data = fh.read(MAX_CATALOG_BYTES + 1)
         if len(data) > MAX_CATALOG_BYTES:
-            raise UsageError(f"catalog {shown}: more than {MAX_CATALOG_BYTES} bytes")
+            raise ValueError(f"catalog {shown}: more than {MAX_CATALOG_BYTES} bytes")
         catalog = knots.load_catalog(data.decode("utf-8"))
     except OSError as e:  # its text would repeat the path whole
-        raise UsageError(f"catalog {shown}: {e.strerror}")
+        raise ValueError(f"catalog {shown}: {e.strerror}")
     except (knots.CatalogError, UnicodeDecodeError) as e:
-        raise UsageError(f"catalog {shown}: {e}")
+        raise ValueError(f"catalog {shown}: {e}")
     for k in catalog:
         if k.name == spec_str:
             return k
-    raise UsageError(f"knot {_shown(spec_str)} not found in catalog {shown}")
+    raise ValueError(f"knot {_shown(spec_str)} not found in catalog {shown}")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -294,7 +293,7 @@ def _resolve_knot(args):
 def cmd_dims(args) -> dict:
     lo, hi = (args.n, args.n) if args.range is None else args.range
     if hi - lo + 1 > MAX_ITEMS:
-        raise UsageError(
+        raise ValueError(
             f"slope range too wide: {lo}:{hi} holds {hi - lo + 1} slopes, "
             f"more than the limit of {MAX_ITEMS}"
         )
@@ -306,7 +305,7 @@ def cmd_dims(args) -> dict:
         lens_known = k.lens_surgery
     else:
         if args.genus < 1:
-            raise UsageError("genus must be >= 1")
+            raise ValueError("genus must be >= 1")
         g = args.genus
         inputs = {"genus": g}
         lens_known = False
@@ -347,10 +346,7 @@ def cmd_oracle(args) -> dict:
     g = args.genus
     m = args.lspace_slope
     drop = frozenset(args.drop_constraint or [])
-    try:
-        system = oracle.build_system(g, m, args.range, drop=drop, trace=args.trace)
-    except ValueError as e:
-        raise UsageError(str(e))
+    system = oracle.build_system(g, m, args.range, drop=drop, trace=args.trace)
     inputs = {"genus": g, "lspace_slope": m, "range": list(args.range), "dropped": sorted(drop)}
     record = _record("oracle", inputs, [], [])
     try:
@@ -370,8 +366,6 @@ def cmd_oracle(args) -> dict:
         )
     if args.trace:
         record["trace"] = [e.to_dict() for e in system.trace]
-    if "error" in record:
-        raise MathError(record)
     return record
 
 
@@ -379,16 +373,13 @@ def cmd_legendrian(args) -> dict:
     from . import legendrian
     n_rots = args.tb - args.target_tb + 1
     if n_rots > MAX_ITEMS:
-        raise UsageError(
+        raise ValueError(
             f"target tb too low: tb {args.tb} down to {args.target_tb} gives "
             f"{n_rots} rotation numbers, more than the limit of {MAX_ITEMS}"
         )
-    try:
-        rep = legendrian.LegendrianRep(args.tb, args.rot)
-        rots = legendrian.rotation_numbers_after(rep, args.target_tb)
-        count = legendrian.distinct_chern_count(rep, args.target_tb)
-    except ValueError as e:
-        raise UsageError(str(e))
+    rep = legendrian.LegendrianRep(args.tb, args.rot)
+    rots = legendrian.rotation_numbers_after(rep, args.target_tb)
+    count = legendrian.distinct_chern_count(rep, args.target_tb)
     inputs = {"tb": args.tb, "rot": args.rot, "target_tb": args.target_tb}
     res = {**inputs, "rotations": rots, "chern_count": count, "provenance": "prop41"}
     return _record("legendrian", inputs, [res], [])
@@ -397,15 +388,10 @@ def cmd_legendrian(args) -> dict:
 def cmd_planefield(args) -> dict:
     from . import planefield
     c1sq = None if args.c1sq is None else _rational(args.c1sq)
-    try:
-        f = planefield.FillingData(args.chi, args.sigma, args.b1, c1sq)
-        d = planefield.delta(f)
-        grading = planefield.contact_grading(f)
-    except ValueError as e:
-        raise UsageError(str(e))
+    f = planefield.FillingData(args.chi, args.sigma, args.b1, c1sq)
     res = {
-        "delta": d,
-        "contact_grading": grading,
+        "delta": planefield.delta(f),
+        "contact_grading": planefield.contact_grading(f),
         "provenance": "delta",
     }
     if c1sq is not None:
@@ -413,14 +399,14 @@ def cmd_planefield(args) -> dict:
             res["d3"] = str(planefield.d3(f))
             res["rho"] = str(planefield.rho(f))
         except ValueError as e:  # an int past sys.get_int_max_str_digits()
-            raise UsageError(f"cannot write the result: {e}")
+            raise ValueError(f"cannot write the result: {e}")
     inputs = {"chi": args.chi, "sigma": args.sigma, "b1": args.b1}
     if args.c1sq is not None:
         inputs["c1sq"] = args.c1sq
     return _record("planefield", inputs, [res], [])
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
     """`Fraction(text)` for `--c1sq`.
 
     Refused before it is built when a decimal's numerator or denominator,
@@ -442,18 +428,17 @@ def _rational(text: str) -> Fraction:
             shift = 0  # not a rational; Fraction says so below
         digits = len((whole + frac).replace("_", "").lstrip("+-").lstrip("0"))
         if digits + max(shift, 0) > limit or -shift >= limit:
-            raise UsageError(too_long)
+            raise ValueError(too_long)
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         if limit and any(len(run) > limit for run in re.findall(r"\d+", text.replace("_", ""))):
-            raise UsageError(too_long)
-        raise UsageError(f"--c1sq must be a rational, got {shown}")
+            raise ValueError(too_long)
+        raise ValueError(f"--c1sq must be a rational, got {shown}")
 
 
 def cmd_trefoil(args) -> dict:
-    if args.n < 1:
-        raise UsageError("n must be >= 1")
     v = surgery.trefoil_one_over_n(args.n)
     res = {"n": args.n, "z2": list(v.entries()), "provenance": "prop61"}
     return _record("trefoil", {"n": args.n}, [res], [])
@@ -466,14 +451,6 @@ def _record(command, inputs, results, warnings) -> dict:
         "results": results,
         "warnings": warnings,
     }
-
-
-class MathError(Exception):
-    """A mathematical failure; carries the JSON report printed with exit 3."""
-
-    def __init__(self, report):
-        super().__init__(report["error"]["message"])
-        self.report = report
 
 
 # -- parser ---------------------------------------------------------------
@@ -522,6 +499,7 @@ class _Parser(argparse.ArgumentParser):
     as `_shown` shows it, with no list of choices.  Subparsers share the class."""
 
     def error(self, message):
+        import ast
         head, sep, rest = message.partition("invalid choice: ")
         token = rest.rpartition(" (choose from ")[0]  # argparse's repr of the token
         if len(token) > 42 and token[-1] in "'\"":  # 40 characters in quotes, no "maybe you meant"
@@ -575,11 +553,11 @@ def _main(argv) -> int:
     try:
         # Looked up now, so that a replaced cmd_<name> is the one that runs.
         record = globals()["cmd_" + args.command](args)
-    except UsageError as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except MathError as e:
-        _emit(e.report, "json")
+    if "error" in record:  # the exit-3 report is JSON in every format
+        _emit(record, "json")
         return EXIT_MATH
     try:
         _emit(record, args.format)

@@ -107,21 +107,15 @@ PAD = 2
 
 
 class ContradictionError(Exception):
-    """A bound crossed (lo > hi); carries the system, with its trace if it
-    was built with one."""
-
-    def __init__(self, message, system=None):
-        super().__init__(message)
-        self.system = system
+    """A bound crossed (lo > hi)."""
 
 
 class NotDeterminedError(Exception):
     """Fixpoint reached with open intervals; carries the open slopes."""
 
-    def __init__(self, message, slopes, system=None):
+    def __init__(self, message, slopes):
         super().__init__(message)
         self.slopes = list(slopes)
-        self.system = system
 
 
 class TraceEntry(namedtuple("TraceEntry", "constraint slope grading bound value consumed")):
@@ -220,8 +214,7 @@ class ConstraintSystem:
             slope, grading = self._slope_grading(i)
             raise ContradictionError(
                 f"{cname}: lower bound {value} exceeds upper bound {hi} "
-                f"at slope {slope} (grading {grading})",
-                system=self,
+                f"at slope {slope} (grading {grading})"
             )
 
     def _check_hi(self, i, value, cname, consumed):
@@ -232,8 +225,7 @@ class ConstraintSystem:
             slope, grading = self._slope_grading(i)
             raise ContradictionError(
                 f"{cname}: upper bound {value} drops below lower bound "
-                f"{lo} at slope {slope} (grading {grading})",
-                system=self,
+                f"{lo} at slope {slope} (grading {grading})"
             )
 
     # -- constraints ------------------------------------------------------
@@ -266,14 +258,14 @@ class ConstraintSystem:
     # constant anchor in C4's triangle sums.
     _S3_TOTAL = 1
 
-    def _apply(self, slopes, c3, c4, c5, c6, visited=None) -> bool:
+    def _apply(self, slopes, c3, c4, c5, c6, visited) -> bool:
         """Visit each slope in turn and apply the flagged constraints among
         C3-C6 there, in that order; returns whether any bound changed.
-        With `visited` (tick when the last visit began, by slope position),
-        skip a visit whose window n-1..n+1 has no bound change newer than
-        that.  A C3 or C4 check whose bounds are in the pinned state where
-        every candidate equals its bound (see the module docstring) is
-        skipped, but still counted.  A visit counts one application per
+        `visited` holds, by slope position, the tick when the last visit
+        began; a visit whose window n-1..n+1 has no bound change newer than
+        that is skipped.  A C3 or C4 check whose bounds are in the pinned
+        state where every candidate equals its bound (see the module
+        docstring) is skipped, but still counted.  A visit counts one application per
         flagged constraint when it starts; one that takes `applications`
         past MAX_APPLICATIONS is counted but not run, and ends the call."""
         lo = self.lo
@@ -292,12 +284,11 @@ class ConstraintSystem:
         try:
             for n in slopes:
                 p = n - first
-                if visited is not None:
-                    seen = visited[p]
-                    # changed_at holds slope n at p + 1
-                    if changed_at[p] <= seen and changed_at[p + 1] <= seen and changed_at[p + 2] <= seen:
-                        continue
-                    visited[p] = tick
+                seen = visited[p]
+                # changed_at holds slope n at p + 1
+                if changed_at[p] <= seen and changed_at[p + 1] <= seen and changed_at[p + 2] <= seen:
+                    continue
+                visited[p] = tick
                 applications += per_visit
                 if applications > MAX_APPLICATIONS:
                     break
@@ -492,7 +483,7 @@ class ConstraintSystem:
         visited = [-1] * len(order)  # tick when the last visit began
         while True:
             self.sweeps += 1
-            changed = self._apply(order, *active, visited=visited)
+            changed = self._apply(order, *active, visited)
             capped = self.applications > MAX_APPLICATIONS
             if capped or not changed:
                 break
@@ -510,7 +501,6 @@ class ConstraintSystem:
             raise NotDeterminedError(
                 f"{reason} with open intervals at slopes {open_slopes}",
                 open_slopes,
-                system=self,
             )
         return dict(zip(slopes, map(GradedDimZ2, lo0, lo1)))
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import fractions
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from isurg import cli, legendrian, oracle, surgery
+from isurg import cli, legendrian, oracle, planefield, surgery, triangle
 from isurg.knots import torus_knot
 
 SCHEMA = json.loads(resources.files("isurg").joinpath("schema.json").read_text())
@@ -253,14 +254,16 @@ def test_oracle_too_wide_range_exits_2(capsys):
     assert "Traceback" not in err
 
 
-def test_oracle_drop_c6_exits_3(capsys):
-    code, out, _ = run(
+@pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+def test_oracle_drop_c6_exits_3(capsys, fmt):
+    # The exit-3 report is JSON whatever --format says.
+    code, out, err = run(
         capsys,
-        "--format", "json",
+        "--format", fmt,
         "oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-10:10",
         "--drop-constraint", "C6",
     )
-    assert code == 3
+    assert (code, err) == (3, "")
     record = json.loads(out)
     jsonschema.validate(record, SCHEMA)
     assert record["error"]["kind"] == "not-determined"
@@ -362,7 +365,7 @@ def test_planefield_c1sq_too_long_exits_2(capsys, monkeypatch, int_digit_limit, 
     def no_fraction(text):
         raise AssertionError("the Fraction was built")
 
-    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     code, out, err = run(capsys, "planefield", "--chi", "1", "--sigma", "0", "--c1sq", c1sq)
     assert code == 2
     assert out == ""
@@ -401,6 +404,25 @@ def test_planefield_unprintable_d3_exits_2(capsys, int_digit_limit, c1sq):
     assert out == ""
     assert err.startswith("error: cannot write the result")
     assert "Traceback" not in err
+
+
+def _boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+# One library call per command, each reached before any output is written.
+@pytest.mark.parametrize("owner, name, argv", [
+    pytest.param(triangle, "triangle_degrees", ["triangle", "--n", "1"], id="triangle"),
+    pytest.param(surgery, "trefoil_one_over_n", ["trefoil", "--n", "1"], id="trefoil"),
+    pytest.param(legendrian, "rotation_numbers_after",
+                 ["legendrian", "--tb", "1", "--rot", "0", "--target-tb", "-2"], id="legendrian"),
+    pytest.param(planefield, "delta", ["planefield", "--chi", "1", "--sigma", "0"], id="planefield"),
+    pytest.param(oracle.ConstraintSystem, "solve",
+                 ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-3:3"], id="oracle"),
+])
+def test_a_library_value_error_exits_2(capsys, monkeypatch, owner, name, argv):
+    monkeypatch.setattr(owner, name, _boom)
+    assert run(capsys, *argv) == (2, "", "error: boom\n")
 
 
 def test_planefield_bad_parity(capsys):
@@ -665,7 +687,7 @@ def test_dims_imports_only_what_it_computes_with():
         "import json, sys\n"
         "from isurg import cli\n"
         "code = cli.main(['dims', '--genus', '2', '--n', '3'])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('isurg'))]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(('isurg', 'fractions')))]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -676,7 +698,8 @@ def test_dims_imports_only_what_it_computes_with():
     code, loaded = json.loads(result)
     assert code == 0
     assert "isurg.surgery" in loaded
-    unused = {"isurg.oracle", "isurg.triangle", "isurg.legendrian", "isurg.planefield", "isurg.knots"}
+    unused = {"isurg.oracle", "isurg.triangle", "isurg.legendrian", "isurg.planefield", "isurg.knots",
+              "fractions"}
     assert unused.isdisjoint(loaded)
 
 
