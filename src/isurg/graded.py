@@ -6,11 +6,13 @@ appear anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class _GradedDim:
-    """Validation and total shared by the graded dimension vectors.
+    """Validation, total, comparison and immutability shared by the graded
+    dimension vectors.
+
+    A vector is frozen as a frozen dataclass is, equals only a vector of
+    its own class with the same entries, and hashes as its entries.
 
     Each subclass's `__init__` tests its entries with one chained
     expression and calls `_reject` only when that test fails, so a valid
@@ -30,13 +32,34 @@ class _GradedDim:
     def total(self) -> int:
         return sum(self.entries())
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries() == other.entries()
 
-@dataclass(frozen=True, slots=True, init=False)
+    def __hash__(self):
+        return hash(self.entries())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self.__slots__, self.entries()))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self.entries()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class GradedDimZ2(_GradedDim):
     """Dimension vector of a Z/2-graded vector space: (d0, d1)."""
 
-    d0: int
-    d1: int
+    __slots__ = ("d0", "d1")
 
     def __init__(self, d0: int, d1: int):
         if not (isinstance(d0, int) and d0 >= 0 and isinstance(d1, int) and d1 >= 0):
@@ -51,14 +74,10 @@ class GradedDimZ2(_GradedDim):
 _z2_d0, _z2_d1 = GradedDimZ2.d0.__set__, GradedDimZ2.d1.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class GradedDimZ4(_GradedDim):
     """Dimension vector of a Z/4-graded vector space: (d0, d1, d2, d3)."""
 
-    d0: int
-    d1: int
-    d2: int
-    d3: int
+    __slots__ = ("d0", "d1", "d2", "d3")
 
     def __init__(self, d0: int, d1: int, d2: int, d3: int):
         if not (isinstance(d0, int) and d0 >= 0 and isinstance(d1, int) and d1 >= 0

@@ -45,11 +45,18 @@ are exactly those of the unskipped sweeps; about 3 visits per slope run.
 A visit applies C3, C4, C5 and C6 at its slope, in that order, in one loop
 body (`_apply`) that states each rule once.  Most candidate bounds a rule
 computes are no tighter than the bound already there (about four in five
-over a typical solve), so only a strictly tighter one is stored.  The rule
-stores it into `lo`/`hi` itself and stamps the slope's tick; it calls
-`_check_lo`/`_check_hi`, which append the trace entry or raise, only in a
-traced solve or for a bound that crosses the opposite one.  The
-tightenings and their order are the same either way.
+over a typical solve), so only a strictly tighter one is stored.  The
+visit holds the bounds it works on in locals, and the rule stores a new
+bound into `lo`/`hi` and the local alike; it calls `_check_lo`/`_check_hi`,
+which append the trace entry or raise, only in a traced solve or for a
+bound that crosses the opposite one.  The tightenings and their order are
+the same either way.
+
+A visit stamps the slopes it changed (n, n+1 through C4, n-1 through C5)
+once, when it ends, with one new tick.  That is exact: the stamps are read
+only by the skip test when a visit begins, no visit begins between a
+change and the end of the visit that made it, so every skip test compares
+as it would with a stamp per tightening.
 
 The bounds are two flat lists, `lo` and `hi` (None = unbounded above),
 with STRIDE = 3 entries per slope; a visit reads and writes them by index.
@@ -182,9 +189,9 @@ class ConstraintSystem:
         size = STRIDE * (self._hi - self._lo + 1)
         self.lo = [0] * size
         self.hi = [None] * size
-        # Tick of each slope's last bound change, slope n at n - _lo + 1: one
-        # slope past each end, so that every window n-1..n+1 that _apply
-        # checks exists.
+        # Tick of the visit that last changed each slope's bounds (or of its
+        # last C1 tightening), slope n at n - _lo + 1: one slope past each
+        # end, so that every window n-1..n+1 that _apply checks exists.
         self._changed_at = [0] * (self._hi - self._lo + 3)
         self._tick = 0
 
@@ -195,12 +202,13 @@ class ConstraintSystem:
 
     # -- bound updates ----------------------------------------------------
     #
-    # A rule stores a strictly tighter bound into `lo`/`hi` itself and
-    # stamps its slope in `_changed_at`.  Before storing it calls one of
-    # these when the solve is traced or the new bound crosses the opposite
-    # one; they are the only code that appends a TraceEntry or raises
-    # ContradictionError.  Each takes a flat index into `lo`/`hi`.  A lower
-    # bound is never negative, so `value > lo[i]` also implies `value > 0`.
+    # A rule stores a strictly tighter bound into `lo`/`hi` itself, and its
+    # visit stamps the slope in `_changed_at` when it ends.  Before storing,
+    # the rule calls one of these when the solve is traced or the new bound
+    # crosses the opposite one; they are the only code that appends a
+    # TraceEntry or raises ContradictionError.  Each takes a flat index into
+    # `lo`/`hi`, whose entries are current at every call.  A lower bound is
+    # never negative, so `value > lo[i]` also implies `value > 0`.
 
     def _slope_grading(self, i) -> tuple:
         p, grading = divmod(i, STRIDE)
@@ -265,9 +273,13 @@ class ConstraintSystem:
         began; a visit whose window n-1..n+1 has no bound change newer than
         that is skipped.  A C3 or C4 check whose bounds are in the pinned
         state where every candidate equals its bound (see the module
-        docstring) is skipped, but still counted.  A visit counts one application per
-        flagged constraint when it starts; one that takes `applications`
-        past MAX_APPLICATIONS is counted but not run, and ends the call."""
+        docstring) is skipped, but still counted.  A visit counts one
+        application per flagged constraint when it starts; one that takes
+        `applications` past MAX_APPLICATIONS is counted but not run, and
+        ends the call.  A visit keeps its bounds in locals that every store
+        updates with the list, and stamps the slopes it changed with one
+        new tick when it ends (see the module docstring); a
+        ContradictionError leaves its visit unstamped, ending the solve."""
         lo = self.lo
         hi = self.hi
         traced = self.traced
@@ -295,152 +307,181 @@ class ConstraintSystem:
                 i0 = STRIDE * p  # d0; d1 and the total follow
                 i1 = i0 + 1
                 it = i0 + TOTAL
+                # Bounds of d0, d1 and the total at n; whether n, n+1, n-1 changed.
+                l0, l1, lt = lo[i0], lo[i1], lo[it]
+                h0, h1, ht = hi[i0], hi[i1], hi[it]
+                cn = cu = cp = False
                 if c3:
                     k = abs(n)
-                    a, b, t = lo[i0], lo[i1], lo[it]
-                    if not (hi[i0] == a and hi[i1] == b and hi[it] == t
-                            and a == b + k and t == a + b):
+                    if not (h0 == l0 and h1 == l1 and ht == lt and l0 == l1 + k and lt == l0 + l1):
                         # pairwise euler coupling: d0 = d1 + k
-                        v = lo[i1] + k
-                        if v > lo[i0]:
-                            if traced or (hi[i0] is not None and v > hi[i0]):
+                        v = l1 + k
+                        if v > l0:
+                            if traced or (h0 is not None and v > h0):
                                 check_lo(i0, v, "C3", (n,))
-                            lo[i0] = v
-                            changed_at[p + 1] = tick = tick + 1
-                        if hi[i1] is not None:
-                            v = hi[i1] + k
-                            if hi[i0] is None or v < hi[i0]:
-                                if traced or v < lo[i0]:
+                            lo[i0] = l0 = v
+                            cn = True
+                        if h1 is not None:
+                            v = h1 + k
+                            if h0 is None or v < h0:
+                                if traced or v < l0:
                                     check_hi(i0, v, "C3", (n,))
-                                hi[i0] = v
-                                changed_at[p + 1] = tick = tick + 1
-                        v = lo[i0] - k
-                        if v > lo[i1]:
-                            if traced or (hi[i1] is not None and v > hi[i1]):
+                                hi[i0] = h0 = v
+                                cn = True
+                        v = l0 - k
+                        if v > l1:
+                            if traced or (h1 is not None and v > h1):
                                 check_lo(i1, v, "C3", (n,))
-                            lo[i1] = v
-                            changed_at[p + 1] = tick = tick + 1
+                            lo[i1] = l1 = v
+                            cn = True
                         # Neither upper bound from hi - k needs max(., 0): the steps
                         # before it left lo[i0] >= lo[i1] + k, or lo[it] >= 2*lo[i1] + k,
                         # so lo >= k, and a store that would cross raises: hi >= lo >= k.
-                        if hi[i0] is not None:
-                            v = hi[i0] - k
-                            if hi[i1] is None or v < hi[i1]:
-                                if traced or v < lo[i1]:
+                        if h0 is not None:
+                            v = h0 - k
+                            if h1 is None or v < h1:
+                                if traced or v < l1:
                                     check_hi(i1, v, "C3", (n,))
-                                hi[i1] = v
-                                changed_at[p + 1] = tick = tick + 1
+                                hi[i1] = h1 = v
+                                cn = True
                         # total = 2*d1 + k = 2*d0 - k
-                        v = 2 * lo[i1] + k
-                        if v > lo[it]:
-                            if traced or (hi[it] is not None and v > hi[it]):
+                        v = 2 * l1 + k
+                        if v > lt:
+                            if traced or (ht is not None and v > ht):
                                 check_lo(it, v, "C3", (n,))
-                            lo[it] = v
-                            changed_at[p + 1] = tick = tick + 1
-                        if hi[i1] is not None:
-                            v = 2 * hi[i1] + k
-                            if hi[it] is None or v < hi[it]:
-                                if traced or v < lo[it]:
+                            lo[it] = lt = v
+                            cn = True
+                        if h1 is not None:
+                            v = 2 * h1 + k
+                            if ht is None or v < ht:
+                                if traced or v < lt:
                                     check_hi(it, v, "C3", (n,))
-                                hi[it] = v
-                                changed_at[p + 1] = tick = tick + 1
-                        v = -((k - lo[it]) // 2)  # ceil((t.lo - k) / 2)
-                        if v > lo[i1]:
-                            if traced or (hi[i1] is not None and v > hi[i1]):
+                                hi[it] = ht = v
+                                cn = True
+                        v = -((k - lt) // 2)  # ceil((t.lo - k) / 2)
+                        if v > l1:
+                            if traced or (h1 is not None and v > h1):
                                 check_lo(i1, v, "C3", (n,))
-                            lo[i1] = v
-                            changed_at[p + 1] = tick = tick + 1
-                        if hi[it] is not None:
-                            v = (hi[it] - k) // 2
-                            if hi[i1] is None or v < hi[i1]:
-                                if traced or v < lo[i1]:
+                            lo[i1] = l1 = v
+                            cn = True
+                        if ht is not None:
+                            v = (ht - k) // 2
+                            if h1 is None or v < h1:
+                                if traced or v < l1:
                                     check_hi(i1, v, "C3", (n,))
-                                hi[i1] = v
-                                changed_at[p + 1] = tick = tick + 1
-                        v = -((-lo[it] - k) // 2)  # ceil((t.lo + k) / 2)
-                        if v > lo[i0]:
-                            if traced or (hi[i0] is not None and v > hi[i0]):
+                                hi[i1] = h1 = v
+                                cn = True
+                        v = -((-lt - k) // 2)  # ceil((t.lo + k) / 2)
+                        if v > l0:
+                            if traced or (h0 is not None and v > h0):
                                 check_lo(i0, v, "C3", (n,))
-                            lo[i0] = v
-                            changed_at[p + 1] = tick = tick + 1
-                        if hi[it] is not None:
-                            v = (hi[it] + k) // 2
-                            if hi[i0] is None or v < hi[i0]:
-                                if traced or v < lo[i0]:
+                            lo[i0] = l0 = v
+                            cn = True
+                        if ht is not None:
+                            v = (ht + k) // 2
+                            if h0 is None or v < h0:
+                                if traced or v < l0:
                                     check_hi(i0, v, "C3", (n,))
-                                hi[i0] = v
-                                changed_at[p + 1] = tick = tick + 1
+                                hi[i0] = h0 = v
+                                cn = True
                 if c4:
                     # Triangle (infinity, n, n+1): each total <= sum of the others.
                     if n < top:
                         iu = it + STRIDE
-                        t, u = lo[it], lo[iu]
-                        if not (hi[it] == t and hi[iu] == u
-                                and -s3 <= t - u <= s3 and t + u >= s3):
-                            # qa: changed_at position of ia's slope
-                            for ia, qa, ib, b in ((it, p + 1, iu, n + 1), (iu, p + 2, it, n)):
-                                if hi[ib] is not None:
-                                    v = hi[ib] + s3
-                                    if hi[ia] is None or v < hi[ia]:
-                                        if traced or v < lo[ia]:
-                                            check_hi(ia, v, "C4", (b, "inf"))
-                                        hi[ia] = v
-                                        changed_at[qa] = tick = tick + 1
-                                    v = s3 - hi[ib]
-                                    if v > lo[ia]:
-                                        if traced or (hi[ia] is not None and v > hi[ia]):
-                                            check_lo(ia, v, "C4", (b, "inf"))
-                                        lo[ia] = v
-                                        changed_at[qa] = tick = tick + 1
-                                v = lo[ib] - s3
-                                if v > lo[ia]:
-                                    if traced or (hi[ia] is not None and v > hi[ia]):
-                                        check_lo(ia, v, "C4", (b, "inf"))
-                                    lo[ia] = v
-                                    changed_at[qa] = tick = tick + 1
+                        lu, hu = lo[iu], hi[iu]
+                        if not (ht == lt and hu == lu and -s3 <= lt - lu <= s3 and lt + lu >= s3):
+                            # The total at n from the total at n+1 ...
+                            if hu is not None:
+                                v = hu + s3
+                                if ht is None or v < ht:
+                                    if traced or v < lt:
+                                        check_hi(it, v, "C4", (n + 1, "inf"))
+                                    hi[it] = ht = v
+                                    cn = True
+                                v = s3 - hu
+                                if v > lt:
+                                    if traced or (ht is not None and v > ht):
+                                        check_lo(it, v, "C4", (n + 1, "inf"))
+                                    lo[it] = lt = v
+                                    cn = True
+                            v = lu - s3
+                            if v > lt:
+                                if traced or (ht is not None and v > ht):
+                                    check_lo(it, v, "C4", (n + 1, "inf"))
+                                lo[it] = lt = v
+                                cn = True
+                            # ... then the total at n+1 from the total at n.
+                            if ht is not None:
+                                v = ht + s3
+                                if hu is None or v < hu:
+                                    if traced or v < lu:
+                                        check_hi(iu, v, "C4", (n, "inf"))
+                                    hi[iu] = hu = v
+                                    cu = True
+                                v = s3 - ht
+                                if v > lu:
+                                    if traced or (hu is not None and v > hu):
+                                        check_lo(iu, v, "C4", (n, "inf"))
+                                    lo[iu] = lu = v
+                                    cu = True
+                            v = lt - s3
+                            if v > lu:
+                                if traced or (hu is not None and v > hu):
+                                    check_lo(iu, v, "C4", (n, "inf"))
+                                lo[iu] = lu = v
+                                cu = True
                 if c5:
                     # Adjunction: total(n) = total(n-1) + 1 once n - 1 >= 2g - 1 > 0.
                     if n > s:
                         ip = it - STRIDE
-                        if hi[ip] is not None:
-                            v = hi[ip] + 1
-                            if hi[it] is None or v < hi[it]:
-                                if traced or v < lo[it]:
+                        lp, hp = lo[ip], hi[ip]
+                        if hp is not None:
+                            v = hp + 1
+                            if ht is None or v < ht:
+                                if traced or v < lt:
                                     check_hi(it, v, "C5", (n - 1,))
-                                hi[it] = v
-                                changed_at[p + 1] = tick = tick + 1
-                        v = lo[ip] + 1
-                        if v > lo[it]:
-                            if traced or (hi[it] is not None and v > hi[it]):
+                                hi[it] = ht = v
+                                cn = True
+                        v = lp + 1
+                        if v > lt:
+                            if traced or (ht is not None and v > ht):
                                 check_lo(it, v, "C5", (n - 1,))
-                            lo[it] = v
-                            changed_at[p + 1] = tick = tick + 1
-                        if hi[it] is not None:
-                            v = hi[it] - 1
-                            if hi[ip] is None or v < hi[ip]:
-                                if traced or v < lo[ip]:
+                            lo[it] = lt = v
+                            cn = True
+                        if ht is not None:
+                            v = ht - 1
+                            if hp is None or v < hp:
+                                if traced or v < lp:
                                     check_hi(ip, v, "C5", (n,))
-                                hi[ip] = v
-                                changed_at[p] = tick = tick + 1
-                        v = lo[it] - 1
-                        if v > lo[ip]:
-                            if traced or (hi[ip] is not None and v > hi[ip]):
+                                hi[ip] = hp = v
+                                cp = True
+                        v = lt - 1
+                        if v > lp:
+                            if traced or (hp is not None and v > hp):
                                 check_lo(ip, v, "C5", (n,))
-                            lo[ip] = v
-                            changed_at[p] = tick = tick + 1
+                            lo[ip] = lp = v
+                            cp = True
                 if c6:
                     if n < 0:
                         v = s - n
-                        if v > lo[i0]:
-                            if traced or (hi[i0] is not None and v > hi[i0]):
+                        if v > l0:
+                            if traced or (h0 is not None and v > h0):
                                 check_lo(i0, v, "C6", ())
-                            lo[i0] = v
-                            changed_at[p + 1] = tick = tick + 1
-                        if s > lo[i1]:
-                            if traced or hi[i1] is not None and s > hi[i1]:
+                            lo[i0] = l0 = v
+                            cn = True
+                        if s > l1:
+                            if traced or h1 is not None and s > h1:
                                 check_lo(i1, s, "C6", ())
-                            lo[i1] = s
-                            changed_at[p + 1] = tick = tick + 1
+                            lo[i1] = l1 = s
+                            cn = True
+                if cn or cu or cp:
+                    tick += 1
+                    if cn:
+                        changed_at[p + 1] = tick
+                    if cu:
+                        changed_at[p + 2] = tick
+                    if cp:
+                        changed_at[p] = tick
         finally:
             self.applications = applications
             self._tick = tick

@@ -687,7 +687,7 @@ def test_dims_imports_only_what_it_computes_with():
         "import json, sys\n"
         "from isurg import cli\n"
         "code = cli.main(['dims', '--genus', '2', '--n', '3'])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(('isurg', 'fractions')))]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(('isurg', 'fractions', 'dataclasses')))]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -699,7 +699,7 @@ def test_dims_imports_only_what_it_computes_with():
     assert code == 0
     assert "isurg.surgery" in loaded
     unused = {"isurg.oracle", "isurg.triangle", "isurg.legendrian", "isurg.planefield", "isurg.knots",
-              "fractions"}
+              "fractions", "dataclasses"}
     assert unused.isdisjoint(loaded)
 
 

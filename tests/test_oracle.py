@@ -157,9 +157,10 @@ def _pin(system, n, grading, value):
 RULES = ("C3", "C4", "C5", "C6")
 
 
-def _rule(system, cname):
-    """A call that applies `cname`, one of RULES, alone at one slope."""
-    flags = [c == cname for c in RULES]
+def _rule(system, *cnames):
+    """A call that applies the rules `cnames`, among RULES, at one slope in
+    one visit: one rule alone, or all of RULES as the fused visit."""
+    flags = [c in cnames for c in RULES]
     # A fresh `visited` of -1s: no visit is skipped.
     return lambda n: system._apply((n,), *flags, [-1] * (len(system.lo) // oracle.STRIDE))
 
@@ -170,19 +171,23 @@ def _rules(system):
 
 
 def _contradiction_messages(pins, rule):
-    """The ContradictionError text of the rule `rule` ("C3" or "C4") alone
-    at slope 3, with `pins` ((slope, grading, value) triples) set,
-    untraced and traced.  Untraced, a crossing bound is caught by the test
-    before the inline store; traced, every tightening goes through the
-    helper."""
+    """The ContradictionError text at slope 3, with `pins` ((slope, grading,
+    value) triples) set, of the rule `rule` ("C3" or "C4") alone, untraced
+    and traced, then of the fused visit of all RULES, untraced and traced.
+    Untraced, a crossing bound is caught by the test before the inline
+    store; traced, every tightening goes through the helper.  A fused
+    visit tests crossings against the bounds it holds in locals, so a
+    local left stale by a store shows as a wrong bound or a missed
+    crossing."""
     messages = []
-    for trace in (False, True):
-        system = build_system(1, 5, (-10, 10), trace=trace)
-        for n, grading, value in pins:
-            _pin(system, n, grading, value)
-        with pytest.raises(ContradictionError) as exc:
-            _rule(system, rule)(3)
-        messages.append(str(exc.value))
+    for rules in ((rule,), RULES):
+        for trace in (False, True):
+            system = build_system(1, 5, (-10, 10), trace=trace)
+            for n, grading, value in pins:
+                _pin(system, n, grading, value)
+            with pytest.raises(ContradictionError) as exc:
+                _rule(system, *rules)(3)
+            messages.append(str(exc.value))
     return messages
 
 
@@ -194,7 +199,8 @@ def _contradiction_messages(pins, rule):
 def test_pinned_inconsistent_c3_slope_is_a_contradiction(d0, d1, total, message):
     # At slope 3 the euler relation wants d0 = d1 + 3 and total = d0 + d1.
     pins = [(3, grading, value) for grading, value in enumerate((d0, d1, total))]
-    assert _contradiction_messages(pins, "C3") == [f"C3: {message}"] * 2
+    # C3 comes first in a fused visit, so that visit raises the same.
+    assert _contradiction_messages(pins, "C3") == [f"C3: {message}"] * 4
 
 
 @pytest.mark.parametrize("t3, t4, message", [
@@ -205,7 +211,10 @@ def test_pinned_inconsistent_c3_slope_is_a_contradiction(d0, d1, total, message)
 def test_pinned_inconsistent_c4_pair_is_a_contradiction(t3, t4, message):
     # The triangle with the anchor total 1 wants |t3 - t4| <= 1 <= t3 + t4.
     pins = [(3, oracle.TOTAL, t3), (4, oracle.TOTAL, t4)]
-    assert _contradiction_messages(pins, "C4") == [f"C4: {message}"] * 2
+    alone_untraced, alone_traced, fused_untraced, fused_traced = _contradiction_messages(pins, "C4")
+    assert [alone_untraced, alone_traced] == [f"C4: {message}"] * 2
+    # A fused visit runs C3 on slope 3 first, which may raise before C4.
+    assert fused_untraced == fused_traced
 
 
 def test_pinned_consistent_checks_change_nothing_and_still_count():
@@ -253,11 +262,13 @@ def _chaotic_fixpoint(system, rng):
 @pytest.mark.parametrize("trace", (False, True))
 def test_each_bound_change_stamps_its_own_slope(trace):
     # The skip rule trusts these stamps: a change stamped on a neighbouring
-    # slope could skip a visit that has work to do.
+    # slope could skip a visit that has work to do.  Besides each rule
+    # alone, a step runs the fused visit of all four, whose one stamp covers
+    # its changes at n, at n+1 (C4) and at n-1 (C5).
     solved = build_system(2, 5, (-12, 12))
     solved.solve()
     system = build_system(2, 5, (-12, 12), trace=trace)
-    steps = [(c, _rule(system, c)) for c in RULES] + [("C1", system._c1)]
+    steps = [(c, _rule(system, c)) for c in RULES] + [("C1", system._c1), ("fused", _rule(system, *RULES))]
     slopes = list(range(system._lo, system._hi + 1))
     rng = random.Random(0)
     for _ in range(20000):
