@@ -83,13 +83,9 @@ The trace is built only on request (`ConstraintSystem(..., trace=True)`,
 as the CLI's `--trace` does); by default `trace` stays empty, and nothing
 else depends on the choice.
 
-MAX_APPLICATIONS stays a fixed 10**6 and binds from R of about 41k on.  It
-is checked once per visit: a visit that would pass it is counted but not
-run, so `applications > MAX_APPLICATIONS` holds exactly when the cap
-stopped a solve.  The first sweep visits every slope, so a range whose
-padded slopes times active constraints exceed the cap can never finish;
-the system refuses it with ValueError before allocating any bounds (from
-R = 124,998 on with four constraints).
+A solve has no work budget; `solve` shows that it ends.  Only the width
+of the padded slope range is limited, by MAX_APPLICATIONS (from R = 124,998
+on), whatever `drop` holds.
 """
 
 from __future__ import annotations
@@ -178,15 +174,12 @@ class ConstraintSystem:
         # slope is always present, and so a negative slope is, where C6 holds.
         self._lo = min(lo_slope, lspace_slope, 0) - PAD
         self._hi = max(hi_slope, lspace_slope) + PAD
-        # The first sweep applies every active constraint at every slope, so a
-        # range this wide is sure to hit the cap; refuse it before allocating.
-        work = (self._hi - self._lo + 1) * sum(self._active())
-        if work > MAX_APPLICATIONS:
-            raise ValueError(
-                f"slope range too wide: one sweep needs {work} applications, "
-                f"more than the cap of {MAX_APPLICATIONS}"
-            )
-        size = STRIDE * (self._hi - self._lo + 1)
+        # Refuse, before allocating, a range whose full sweep of four rules a
+        # padded slope would pass MAX_APPLICATIONS; drops do not shrink that.
+        width = self._hi - self._lo + 1
+        if 4 * width > MAX_APPLICATIONS:
+            raise ValueError(f"slope range too wide: {width} padded slopes, more than {MAX_APPLICATIONS // 4}")
+        size = STRIDE * width
         self.lo = [0] * size
         self.hi = [None] * size
         # Tick of the visit that last changed each slope's bounds (or of its
@@ -274,12 +267,11 @@ class ConstraintSystem:
         that is skipped.  A C3 or C4 check whose bounds are in the pinned
         state where every candidate equals its bound (see the module
         docstring) is skipped, but still counted.  A visit counts one
-        application per flagged constraint when it starts; one that takes
-        `applications` past MAX_APPLICATIONS is counted but not run, and
-        ends the call.  A visit keeps its bounds in locals that every store
-        updates with the list, and stamps the slopes it changed with one
-        new tick when it ends (see the module docstring); a
-        ContradictionError leaves its visit unstamped, ending the solve."""
+        application per flagged constraint when it starts, keeps its bounds
+        in locals that every store updates with the list, and stamps the
+        slopes it changed with one new tick when it ends (see the module
+        docstring); a ContradictionError leaves its visit unstamped, ending
+        the solve."""
         lo = self.lo
         hi = self.hi
         traced = self.traced
@@ -302,8 +294,6 @@ class ConstraintSystem:
                     continue
                 visited[p] = tick
                 applications += per_visit
-                if applications > MAX_APPLICATIONS:
-                    break
                 i0 = STRIDE * p  # d0; d1 and the total follow
                 i1 = i0 + 1
                 it = i0 + TOTAL
@@ -499,19 +489,27 @@ class ConstraintSystem:
         requested range, in slope order.  Raises ContradictionError or
         NotDeterminedError.
 
-        The sweeps alternate direction over the slopes, ascending first.
-        The fixpoint does not depend on the order, but a one-way sweep
-        carries bounds against its direction by one slope per sweep; the
-        alternation brings a solve down to about 4 sweeps at any range.
+        Each sweep is one `_apply` call, one fused C3-C6 visit per slope;
+        the sweeps alternate direction, ascending first, and skip the visits
+        whose window has not changed (see the module docstring).
+        `applications` counts the applications that ran, `sweeps` the
+        sweeps, including the last one that changed nothing.
 
-        Each sweep is one `_apply` call, one fused C3-C6 visit per slope,
-        skipping a visit to n when no slope in n-1..n+1 changed a bound
-        since the previous visit to n began: that visit changed nothing in
-        the window every constraint at n reads, so the skipped one would
-        change nothing either.  `applications` counts the applications that
-        ran, `sweeps` the sweeps, including the last one that changed
-        nothing.  The cap is checked once per visit, so a visit runs whole
-        or not at all.
+        It ends with no budget: a rule stores only a strictly tighter bound,
+        and each bound changes finitely often.
+          (a) An upper-bound candidate is built from upper bounds only (C3
+              from d0, d1 and the total, C4 and C5 from the other total) or
+              from C1's constants, and a store that would put hi below lo >= 0
+              raises, so each hi becomes finite at most once, then falls
+              through nonnegative ints.
+          (b) Lower bounds start at 0 and never pass B(n) = (s + |n|, s,
+              2s + |n|), s = 2g - 1: every rule maps bounds under B to
+              candidates under B.  C3 is exact on B (B0 = B1 + |n|,
+              Bt = B0 + B1); C4 and C5 move a total by +-1 to a neighbour,
+              whose |n| differs by 1; C6 proposes exactly B0 and B1; C1
+              pins m <= B, and C4's 1 - hu is at most 1.
+        Every sweep but the last stores a bound, so the loop ends, and
+        NotDeterminedError always means a fixpoint.
 
         With trace=True every tightening appends a TraceEntry to `trace`,
         in order; nothing else depends on the choice."""
@@ -524,9 +522,7 @@ class ConstraintSystem:
         visited = [-1] * len(order)  # tick when the last visit began
         while True:
             self.sweeps += 1
-            changed = self._apply(order, *active, visited)
-            capped = self.applications > MAX_APPLICATIONS
-            if capped or not changed:
+            if not self._apply(order, *active, visited):
                 break
             order.reverse()
         # d0 and d1 of the requested slopes, in slope order.
@@ -538,9 +534,8 @@ class ConstraintSystem:
         if lo0 != hi0 or lo1 != hi1:
             open_slopes = [n for n, x0, y0, x1, y1 in zip(slopes, lo0, hi0, lo1, hi1)
                            if x0 != y0 or x1 != y1]
-            reason = "application cap reached" if capped else "fixpoint reached"
             raise NotDeterminedError(
-                f"{reason} with open intervals at slopes {open_slopes}",
+                f"fixpoint reached with open intervals at slopes {open_slopes}",
                 open_slopes,
             )
         return dict(zip(slopes, map(GradedDimZ2, lo0, lo1)))

@@ -243,15 +243,26 @@ def test_oracle_positive_range_exits_0(capsys):
 
 
 def test_oracle_too_wide_range_exits_2(capsys):
-    # Refused before any bound is allocated; should that check regress,
-    # this test costs about 0.3 GB and a few seconds.
-    code, out, err = run(
-        capsys, "oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-130000:130000"
+    # Refused before any bound is allocated, with every rule or with only
+    # C1 and C2 left; should that check regress, this test costs about
+    # 0.3 GB and a few seconds.
+    argv = ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-130000:130000"]
+    for drop in ([], ["C3", "C4", "C5", "C6"]):
+        code, out, err = run(capsys, *argv, *(a for c in drop for a in ("--drop-constraint", c)))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: slope range too wide")
+        assert err.count("\n") == 1
+
+
+def test_oracle_one_slope_of_a_large_genus_exits_0(capsys):
+    # The padding spans 0..m, about 200k slopes, so the solve makes about
+    # 3.2 million applications; it runs to its fixpoint.
+    code, record, _ = run_json(
+        capsys, "oracle", "--genus", "100000", "--lspace-slope", "199999", "--range", "0:0"
     )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: slope range too wide")
-    assert "Traceback" not in err
+    assert code == 0
+    assert [(r["n"], r["agrees"]) for r in record["results"]] == [(0, True)]
 
 
 @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
