@@ -9,24 +9,20 @@ knots; verifying that is a caller obligation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import Optional
 
 
 class CatalogError(ValueError):
     """Raised when a catalog document fails to parse or validate."""
 
 
-@dataclass(frozen=True)
-class KnotDescriptor:
-    name: str
-    genus: int
-    max_self_linking: int
-    lspace_slope: Optional[int] = None
-    lens_surgery: bool = False
+class KnotDescriptor(namedtuple("KnotDescriptor", "name genus max_self_linking lspace_slope lens_surgery",
+                                defaults=(None, False))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.genus < 1:
             raise ValueError("genus must be >= 1")
         if self.lspace_slope is not None:
@@ -38,6 +34,7 @@ class KnotDescriptor:
                     f"{2 * self.genus - 1} when lspace_slope is set, "
                     f"got {self.max_self_linking}"
                 )
+        return self
 
 
 def torus_knot(p: int, q: int) -> KnotDescriptor:

@@ -8,17 +8,17 @@ Stein structures on the surgery trace with distinct first Chern classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class LegendrianRep:
-    tb: int
-    r: int
+class LegendrianRep(namedtuple("LegendrianRep", "tb r")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.tb + self.r) % 2 == 0:
             raise ValueError(f"tb + r must be odd, got tb={self.tb}, r={self.r}")
+        return self
 
 
 def _progression(rep: LegendrianRep, target_tb: int):

@@ -7,27 +7,27 @@ The rational invariants are exact Fractions throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 
 class ParityError(ValueError):
     """Filling data whose parity makes the mod-2 invariant undefined."""
 
 
-@dataclass(frozen=True)
-class FillingData:
-    chi: int
-    sigma: int
-    b1_boundary: int = 0
-    c1_sq: Optional[Fraction] = None
+class FillingData(namedtuple("FillingData", "chi sigma b1_boundary c1_sq", defaults=(0, None))):
+    """Filling data; a c1_sq given as an int or a str such as "1/2" is
+    stored as a Fraction."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.b1_boundary < 0:
             raise ValueError("b1_boundary must be nonnegative")
-        if self.c1_sq is not None and not isinstance(self.c1_sq, Fraction):
-            object.__setattr__(self, "c1_sq", Fraction(self.c1_sq))
+        if self.c1_sq is None or isinstance(self.c1_sq, Fraction):
+            return self
+        return super().__new__(cls, *self[:3], Fraction(self.c1_sq))
 
 
 def delta(f: FillingData) -> int:

@@ -15,20 +15,15 @@ degree of the non-spin map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CobordismData:
-    chi: int
-    sigma: int
-    b1_in: int = 0
-    b1_out: int = 0
-    b0_in: int = 1
-    b0_out: int = 1
-    spin: bool = True
+class CobordismData(namedtuple("CobordismData", "chi sigma b1_in b1_out b0_in b0_out spin",
+                               defaults=(0, 0, 1, 1, True))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("b1_in", "b1_out", "b0_in", "b0_out"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -36,22 +31,23 @@ class CobordismData:
             raise ValueError("empty incoming end (b0_in=0) must have b1_in=0")
         if self.b0_out == 0 and self.b1_out != 0:
             raise ValueError("empty outgoing end (b0_out=0) must have b1_out=0")
+        return self
 
 
-@dataclass(frozen=True)
-class TriangleDegrees:
-    """Z/4 degrees of the three maps in the (S^3, S^3_n, S^3_{n+1}) triangle."""
+class TriangleDegrees(namedtuple("TriangleDegrees", "deg_surgery deg_to_s3 deg_from_s3")):
+    """Z/4 degrees of the three maps in the (S^3, S^3_n, S^3_{n+1}) triangle:
+    S^3_n -> S^3_{n+1}, S^3_{n+1} -> S^3 and S^3 -> S^3_n."""
 
-    deg_surgery: int  # S^3_n -> S^3_{n+1}
-    deg_to_s3: int    # S^3_{n+1} -> S^3
-    deg_from_s3: int  # S^3 -> S^3_n
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.deg_surgery + self.deg_to_s3 + self.deg_from_s3) % 4 != 3:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if sum(self) % 4 != 3:
             raise ValueError("triangle degrees must sum to 3 mod 4")
+        return self
 
     def entries(self) -> tuple:
-        return (self.deg_surgery, self.deg_to_s3, self.deg_from_s3)
+        return tuple(self)
 
 
 def d_degree(c: CobordismData) -> int:
@@ -65,10 +61,9 @@ def d_degree(c: CobordismData) -> int:
 def triangle_degrees(n: int) -> TriangleDegrees:
     """Z/4 degrees of the triangle at slope n, derived from d(W)."""
     deg_surgery = d_degree(surgery_map_cobordism_data(n)) % 4
-    spin = spin_s3_cobordism_data(n)
-    deg_spin = d_degree(spin) % 4
+    deg_spin = d_degree(spin_s3_cobordism_data(n)) % 4
     deg_non_spin = (3 - deg_surgery - deg_spin) % 4
-    if spin == surgery_cobordism_data(n):  # S^3 -> S^3_n is the spin map
+    if n % 2 == 0:  # S^3 -> S^3_n is the spin map
         return TriangleDegrees(deg_surgery, deg_non_spin, deg_spin)
     return TriangleDegrees(deg_surgery, deg_spin, deg_non_spin)
 

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import errno
 import fractions
 import io
@@ -179,9 +178,9 @@ def test_dims_z4_warning_without_lens_flag(capsys, tmp_path):
 
 def test_catalog_env_and_flag_precedence(capsys, tmp_path, monkeypatch):
     env_cat = tmp_path / "env.json"
-    env_cat.write_text(json.dumps({"knots": [dataclasses.asdict(torus_knot(2, 5))]}))
+    env_cat.write_text(json.dumps({"knots": [torus_knot(2, 5)._asdict()]}))
     flag_cat = tmp_path / "flag.json"
-    flag_cat.write_text(json.dumps({"knots": [dataclasses.asdict(torus_knot(2, 3))]}))
+    flag_cat.write_text(json.dumps({"knots": [torus_knot(2, 3)._asdict()]}))
     monkeypatch.setenv(cli.CATALOG_ENV, str(env_cat))
 
     code, record, _ = run_json(capsys, "dims", "--knot", "T(2,5)", "--n", "1")
@@ -712,6 +711,33 @@ def test_dims_imports_only_what_it_computes_with():
     unused = {"isurg.oracle", "isurg.triangle", "isurg.legendrian", "isurg.planefield", "isurg.knots",
               "fractions", "dataclasses"}
     assert unused.isdisjoint(loaded)
+
+
+def test_record_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # The records of triangle, legendrian, planefield and knots are checked
+    # namedtuples; `dataclasses` (and the `inspect` it imports) costs a
+    # one-shot command about 10 ms of start-up.  One fresh interpreter runs
+    # every command whose modules build such a record.
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"knots": [{"name": "K", "genus": 2, "max_self_linking": 3}]}))
+    script = (
+        "import json, sys\n"
+        "from isurg import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)]))\n"
+    )
+    commands = [
+        ["triangle", "--n", "-1"],
+        ["legendrian", "--tb", "1", "--rot", "0", "--target-tb", "-2"],
+        ["planefield", "--chi", "1", "--sigma", "0", "--c1sq", "1/2"],
+        ["dims", "--knot", "torus:2,3", "--n", "1"],
+        ["dims", "--knot", "K", "--n", "1", "--catalog", str(catalog)],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(commands), []]
 
 
 def test_closed_pipe_exits_cleanly():

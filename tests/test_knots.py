@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 
@@ -9,7 +8,7 @@ from isurg.knots import CatalogError, KnotDescriptor, load_catalog, torus_knot
 
 def _catalog(knots) -> str:
     """Catalog text stating every field of each descriptor."""
-    return json.dumps({"knots": [dataclasses.asdict(k) for k in knots]})
+    return json.dumps({"knots": [k._asdict() for k in knots]})
 
 
 def test_trefoil():
@@ -122,3 +121,18 @@ def test_loaded_entries_satisfy_invariant():
     for k in load_catalog(text):
         if k.lspace_slope is not None:
             assert k.max_self_linking == 2 * k.genus - 1
+
+
+@pytest.mark.parametrize("args, kwargs, full", [
+    (("T23", 1, 1, 5), {}, ("T23", 1, 1, 5, False)),
+    (("T23", 1), {"max_self_linking": 1, "lspace_slope": 5}, ("T23", 1, 1, 5, False)),
+    (("plain", 2, 3), {}, ("plain", 2, 3, None, False)),
+    ((), {"name": "plain", "genus": 2, "max_self_linking": 3}, ("plain", 2, 3, None, False)),
+])
+def test_positional_and_keyword_construction_agree(args, kwargs, full):
+    fields = ("name", "genus", "max_self_linking", "lspace_slope", "lens_surgery")
+    k = KnotDescriptor(*args, **kwargs)
+    assert k == KnotDescriptor(**dict(zip(fields, full)))
+    assert tuple(getattr(k, name) for name in fields) == full
+    with pytest.raises(AttributeError):
+        k.genus = 2

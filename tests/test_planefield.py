@@ -97,3 +97,17 @@ def test_delta_rho_d3_identity_randomized():
         lhs = delta(f)
         rhs = rho(f) - d3(f) + Fraction(b1 - 1, 2)
         assert (lhs - rhs) % 2 == 0
+
+
+@pytest.mark.parametrize("c1_sq, stored", [
+    ("1/2", Fraction(1, 2)),  # perfbench's checker passes a str
+    (-3, Fraction(-3)),
+    (Fraction(5, 3), Fraction(5, 3)),
+    (None, None),
+])
+def test_c1_sq_is_stored_as_a_fraction(c1_sq, stored):
+    f = FillingData(1, 0, 0, c1_sq)
+    assert f.c1_sq == stored and type(f.c1_sq) is type(stored)
+    assert f == FillingData(chi=1, sigma=0, c1_sq=c1_sq)
+    with pytest.raises(ValueError, match="^b1_boundary must be nonnegative$"):
+        FillingData(1, 0, -1, c1_sq)

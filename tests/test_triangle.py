@@ -125,3 +125,27 @@ def test_table_matches_mod2_degrees():
 def test_empty_end_needs_zero_b1():
     with pytest.raises(ValueError, match="empty"):
         CobordismData(chi=0, sigma=0, b0_in=0, b1_in=2)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, -1), {}),
+    ((), {"chi": 1, "sigma": -1}),
+    ((1,), {"sigma": -1, "b0_out": 1, "spin": True}),
+    ((1, -1, 0, 0, 1, 1, True), {}),
+])
+def test_positional_and_keyword_construction_agree(args, kwargs):
+    c = CobordismData(*args, **kwargs)
+    assert c == CobordismData(chi=1, sigma=-1, b1_in=0, b1_out=0, b0_in=1, b0_out=1, spin=True)
+    with pytest.raises(AttributeError):
+        c.chi = 2
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 0, -1), "b1_in must be nonnegative"),
+    ((0, 0, 0, 0, 1, -1), "b0_out must be nonnegative"),
+    ((0, 0, 2, 0, 0), r"empty incoming end \(b0_in=0\) must have b1_in=0"),
+    ((0, 0, 0, 1, 1, 0), r"empty outgoing end \(b0_out=0\) must have b1_out=0"),
+])
+def test_cobordism_data_checks_positional_arguments(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CobordismData(*args)
