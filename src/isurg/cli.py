@@ -8,14 +8,16 @@ Output is a human-readable table by default; --format json|tsv switches.
 JSON output, including the exit-3 report, has exactly the layout of
 `json.dumps(record, indent=2)` (non-ASCII characters escaped) and is
 byte-stable.  Result rows are written as they are computed, so `dims`
-holds one row at a time at any range (`oracle` holds its solved slopes
-and makes each row as it is written), and a reader that closes stdout
-early (`isurg dims ... | head -1`) stops a long range there and ends
-the run quietly with exit 0.  A `dims` row is a flat tuple of ints from
-`surgery.dims_rows`, which computes a range one closed-form regime at a
-time.  Once per record, a sample row goes through the writer that formats
-every other command's dict rows, with each int as a `%d` slot; each row
-is then one `template % row` and one `write`.
+holds at most one block of `_BLOCK` rows at any range (`oracle` holds its
+solved slopes and makes each row as it is written), and a reader that
+closes stdout early (`isurg dims ... | head -1`) stops a long range there
+and ends the run quietly with exit 0.  `surgery.dims_rows` gives a `dims`
+range one closed-form regime at a time: the regime's entries that do not
+depend on n, and a generator of those that do.  Once per record, a sample
+row goes through the writer that formats every other command's dict rows,
+with a stand-in for each int; each regime's `%` template has its constants
+written in and a `%d` for each varying entry.  The first row is written
+alone, and the rest `_BLOCK` rows to one `%` and one `write`.
 
 Exit codes: 0 success; 2 when a `cmd_<name>` raises ValueError, whose
 text is written as `error: <text>`; 3 when it returns a record holding
@@ -40,6 +42,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain, islice
 
 from . import surgery
 
@@ -162,10 +165,14 @@ def _write_rows(results, render, first="", sep="") -> bool:
     """Write each row of `results` as `render` gives it, with `first` before
     the first row and `sep` before each later one; False if there was none.
 
-    A dict row is rendered on its own.  Flat `dims` rows (int tuples, see
-    `_dims_row`) share one `%` template, rendered once from a sample row,
-    so each costs one `%` and one `write`; `%d` refuses an int too long to
-    print with the same ValueError as `str`.
+    A dict row is rendered on its own.  `dims` results are `(fixed, rows)`
+    regimes (see `surgery.dims_rows`).  A sample row is rendered once per
+    record and cut at its ints; each regime's `%` template is those parts
+    with the regime's constants written in and a `%d` for each varying
+    entry.  The record's first row is written alone, the rest `_BLOCK` rows
+    to one `%` and one `write`.  `%d` refuses an int too long to print with
+    the same ValueError as `str`; a block that holds one is written again
+    row by row, so the rows before it still go out.
     """
     write = sys.stdout.write
     rows = iter(results)
@@ -178,12 +185,32 @@ def _write_rows(results, render, first="", sep="") -> bool:
         for row in rows:
             write(sep + render(row))
         return True
-    template = _row_template(render, len(row))
-    write((first + template) % row)
-    template = sep + template
-    for row in rows:
-        write(template % row)
+    fixed, flat = row
+    parts = _row_parts(render, len(fixed))
+    template = _template(parts, fixed)
+    write((first + template) % next(flat))
+    _write_blocks(write, sep + template, flat)
+    for fixed, flat in rows:
+        _write_blocks(write, sep + _template(parts, fixed), flat)
     return True
+
+
+# Rows of a `dims` regime written with one `%` and one `write`.
+_BLOCK = 64
+
+
+def _write_blocks(write, template, rows) -> None:
+    """Write `rows`, the varying entries of a regime's rows, through the
+    regime's `template`, `_BLOCK` rows to one `%` and one `write`."""
+    # A batch is a list, so the n = 0 regime's one row, (), still counts.
+    while batch := list(islice(rows, _BLOCK)):
+        try:
+            text = (template * len(batch)) % tuple(chain.from_iterable(batch))
+        except ValueError:  # an int too long to print: the rows before it go out first
+            for row in batch:
+                write(template % row)
+            raise
+        write(text)
 
 
 # Stand-ins for the ints of a sample row: all 41 digits long, so none is
@@ -191,16 +218,23 @@ def _write_rows(results, render, first="", sep="") -> bool:
 _SLOT = 10**40
 
 
-def _row_template(render, width: int) -> str:
-    """The `%` template with `template % row == render(_dims_row(row))` for
-    every flat `dims` row of `width` ints."""
+def _row_parts(render, width: int) -> list:
+    """The text of `render(_dims_row(row))` for a flat `dims` row of `width`
+    ints, cut at each int and `%`-escaped: `width + 1` parts."""
     text = render(_dims_row(tuple(range(_SLOT, _SLOT + width))))
-    fixed = []
+    parts = []
     for slot in range(_SLOT, _SLOT + width):
         head, _, text = text.partition(str(slot))
-        fixed.append(head)
-    fixed.append(text)
-    return "%d".join([part.replace("%", "%%") for part in fixed])
+        parts.append(head.replace("%", "%%"))
+    parts.append(text.replace("%", "%%"))
+    return parts
+
+
+def _template(parts, fixed) -> str:
+    """The `%` template of a regime's rows: `parts` with each int of `fixed`
+    written in as `%d` writes it, and a `%d` slot for each None."""
+    return parts[0] + "".join([("%d" if c is None else "%d" % c) + part
+                               for c, part in zip(fixed, parts[1:])])
 
 
 # -- argument helpers -----------------------------------------------------
@@ -235,8 +269,10 @@ def _parse_range(text: str):
 
 
 # Values like "-10:10" or "-1/2" look like options to argparse; glue them
-# to their flag so they tokenize as a single argument.
-_GLUED_FLAGS = {"--range", "--c1sq"}
+# to their flag so they tokenize as a single argument.  Each abbreviation
+# of 3 or more characters is glued too, so argparse resolves `--rang -3:-2`
+# as it does `--rang 3:4`.
+_GLUED_FLAGS = {flag[:k] for flag in ("--range", "--c1sq") for k in range(3, len(flag) + 1)}
 
 
 def _preprocess(argv):

@@ -5,10 +5,11 @@ matters for negative surgery coefficients; Python's // already floors, and
 ceil_div below is its mirror.
 
 `dims_z2`, `dims_z4` and `lens_space_dims` give one slope as a validated
-graded vector.  `dims_rows` gives a whole range of slopes as flat int
-tuples, the rows of `isurg dims`: the closed forms have four regimes
-(n <= -1, n = 0, 1 <= n <= 2g-1, n >= 2g), and each regime's rows come
-from one generator expression, with no call and no vector per row.
+graded vector.  `dims_rows` gives a whole range of slopes, the rows of
+`isurg dims`, one regime at a time: the closed forms have four regimes
+(n <= -1, n = 0, 1 <= n <= 2g-1, n >= 2g).  Each regime comes as its row
+with the entries that do not depend on n filled in, and one generator
+expression of the entries that do, with no call and no vector per row.
 """
 
 from __future__ import annotations
@@ -56,37 +57,46 @@ def dims_z4(g: int, n: int) -> GradedDimZ4:
 
 def dims_rows(g: int, slopes: range, z4: bool):
     """The rows (n, z2_d0, z2_d1[, z4_d0..z4_d3]) of `dims_z2` (and, with
-    `z4`, `dims_z4`) for each n of `slopes`, a range of step 1, yielded
-    lazily one regime at a time.
+    `z4`, `dims_z4`) for each n of `slopes`, a range of step 1, as one
+    `(fixed, rows)` pair per non-empty regime, yielded lazily.
+
+    `fixed` is the regime's row with each entry that does not depend on n
+    given as its int and None where it varies; the n = 0 row is all ints.
+    `rows` is a generator of the varying entries only, in slope order, one
+    tuple per n: `(n, h - n, g + (-n) // 2, g + (-1 - n) // 2)` for
+    n <= -1 with `z4`, and `()` for n = 0.
 
     Within a regime every entry is monotone in n, so when the rows at the
     regime's two ends in `slopes` are valid graded vectors (nonnegative
     ints), so is every row between them.  Those two rows are built through
-    `dims_z2`/`dims_z4` before the regime's first row is yielded, so a
-    genus below 1 raises their ValueError on the first draw.
+    `dims_z2`/`dims_z4` before the regime is yielded, so a genus below 1
+    raises their ValueError on the first draw.
     """
     h, k = 2 * g - 1, g - 1
     lo, hi = slopes.start, slopes.stop - 1
     ns = _checked(g, z4, lo, min(hi, -1))
-    if z4:
-        yield from ((n, h - n, h, g + (-n) // 2, k, g + (-1 - n) // 2, g) for n in ns)
-    else:
-        yield from ((n, h - n, h) for n in ns)
+    if ns and z4:
+        yield (None, None, h, None, k, None, g), (
+            (n, h - n, g + (-n) // 2, g + (-1 - n) // 2) for n in ns)
+    elif ns:
+        yield (None, None, h), ((n, h - n) for n in ns)
     ns = _checked(g, z4, max(lo, 0), min(hi, 0))
-    if z4:
-        yield from ((n, h, h, k, k, g, g) for n in ns)
-    else:
-        yield from ((n, h, h) for n in ns)
+    if ns and z4:
+        yield (0, h, h, k, k, g, g), (() for n in ns)
+    elif ns:
+        yield (0, h, h), (() for n in ns)
     ns = _checked(g, z4, max(lo, 1), min(hi, h))
-    if z4:
-        yield from ((n, h, h - n, g, g - (n + 1) // 2, k, k - n // 2) for n in ns)
-    else:
-        yield from ((n, h, h - n) for n in ns)
+    if ns and z4:
+        yield (None, h, None, g, None, k, None), (
+            (n, h - n, g - (n + 1) // 2, k - n // 2) for n in ns)
+    elif ns:
+        yield (None, h, None), ((n, h - n) for n in ns)
     ns = _checked(g, z4, max(lo, h + 1), hi)
-    if z4:
-        yield from ((n, n, 0, (n + 2) // 2, 0, (n - 1) // 2, 0) for n in ns)
-    else:
-        yield from ((n, n, 0) for n in ns)
+    if ns and z4:
+        yield (None, None, 0, None, 0, None, 0), (
+            (n, n, (n + 2) // 2, (n - 1) // 2) for n in ns)
+    elif ns:
+        yield (None, None, 0), ((n, n) for n in ns)
 
 
 def _checked(g: int, z4: bool, a: int, b: int) -> range:

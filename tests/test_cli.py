@@ -87,11 +87,47 @@ def int_digit_limit():
 
 @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
 def test_dims_too_long_to_print_exits_2(capsys, int_digit_limit, fmt):
-    # The genus parses, but the row's dimensions need one digit more.
+    # The genus parses, but the row's dimensions need one digit more: 2g - 1
+    # is a constant of every regime up to n = 2g - 1, so the first regime
+    # fails before its first row, and no row is written.
     genus = "9" * int_digit_limit
-    code, _, err = run(capsys, "--format", fmt, "dims", "--genus", genus, "--n", "0")
+    for where in (["--n", "0"], ["--range", "-2:2"]):
+        argv = ["--format", fmt, "dims", "--genus", genus, *where]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: cannot write the result")
+        assert len(err.splitlines()) == 1
+        record = cli.cmd_dims(cli.build_parser().parse_args(cli._preprocess(argv)))
+        assert out == _written_before_error(dict(record, results=[]), fmt)
+
+
+def _written_before_error(record, fmt):
+    """What `cli._emit` writes of `record` before an int too long to print
+    stops it, as the dict-row writer writes it: row by row."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(ValueError):
+            cli._emit(dict(record, results=[*record["results"], {"n": 10**5000}]), fmt)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+def test_dims_keeps_the_rows_before_one_too_long_to_print(capsys, monkeypatch, int_digit_limit, fmt):
+    # One regime of 70 rows; row 40 lies in the first block after the first
+    # row, and its varying z2_d0 has one digit more than can be printed.
+    def dims_rows(g, slopes, z4):
+        yield (None, None, 3), ((n, 10**int_digit_limit if n == 40 else n) for n in slopes)
+
+    monkeypatch.setattr(surgery, "dims_rows", dims_rows)
+    argv = ["--format", fmt, "dims", "--genus", "2", "--range", "1:70"]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: cannot write the result")
+    assert len(err.splitlines()) == 1
+    record = cli.cmd_dims(cli.build_parser().parse_args(cli._preprocess(argv)))
+    record["results"] = [{"n": n, "z2": [n, 3], "provenance": "eq1"} for n in range(1, 40)]
+    assert out == _written_before_error(record, fmt)
+    assert out.count("eq1") == 39
 
 
 @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
@@ -632,6 +668,20 @@ def test_short_bad_range_message_is_unchanged(capsys, text, message):
     assert err.endswith(f"isurg dims: error: argument --range: {message}\n")
 
 
+def test_abbreviated_range_and_c1sq_take_a_value_that_starts_with_a_dash(capsys):
+    rows = "n=-3  z2_d0=6  z2_d1=3  provenance=eq1\nn=-2  z2_d0=5  z2_d1=3  provenance=eq1\n"
+    assert run(capsys, "dims", "--genus", "2", "--range", "-3:-2") == (0, rows, "")
+    assert run(capsys, "dims", "--genus", "2", "--rang", "-3:-2") == (0, rows, "")
+    assert run(capsys, "oracle", "--genus", "1", "--lspace-slope", "5", "--ran", "-2:-1")[0] == 0
+    c1sq = run(capsys, "planefield", "--chi", "2", "--sigma", "-1", "--c1sq", "-1/2")
+    assert c1sq[0] == 0 and "d3=-3/8" in c1sq[1]
+    assert run(capsys, "planefield", "--chi", "2", "--sigma", "-1", "--c1", "-1/2") == c1sq
+    # An ambiguous abbreviation is glued to its value too, and echoed so.
+    code, _, err = run_exit(capsys, "planefield", "--chi", "2", "--sigma", "-1", "--c", "2")
+    assert code == 2
+    assert "error: ambiguous option: --c=2 could match --chi, --c1sq" in err
+
+
 def test_drop_constraint_accepts_exactly_the_oracle_ids(capsys):
     base = ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "0:1"]
     parser = cli.build_parser()
@@ -835,19 +885,32 @@ def test_dims_writes_the_first_row_before_computing_the_last(capsys, monkeypatch
     computed = []
     dims_rows = surgery.dims_rows
 
-    def counted_dims_rows(g, slopes, z4):
-        for row in dims_rows(g, slopes, z4):
-            computed.append(row[0])
+    def counted(rows):
+        for row in rows:
+            computed.append(row)
             yield row
 
+    def counted_dims_rows(g, slopes, z4):
+        for fixed, rows in dims_rows(g, slopes, z4):
+            yield fixed, counted(rows)
+
     monkeypatch.setattr(surgery, "dims_rows", counted_dims_rows)
-    rows_at_write = []
-    sink = SimpleNamespace(write=lambda text: rows_at_write.append(len(computed)), flush=lambda: None)
-    monkeypatch.setattr(sys, "stdout", sink)
-    assert cli.main(["--format", fmt, "dims", "--genus", "2", "--range", "0:999", "--z4"]) == 0
-    assert len(computed) == 1000
+    # Each row names its provenance once, in every format.
+    written = [0]
+    at_write = []
+
+    def write(text):
+        at_write.append((len(computed), written[0]))
+        written[0] += text.count("cor52")
+
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write, flush=lambda: None))
+    assert cli.main(["--format", fmt, "dims", "--genus", "2", "--range", "-199:999", "--z4"]) == 0
+    assert len(computed) == written[0] == 1199
     # The first write after any row was computed came after exactly one.
-    assert next(k for k in rows_at_write if k > 0) == 1
+    assert next(k for k, _ in at_write if k > 0) == 1
+    # At every write at most one block of rows past those written had been
+    # computed, and a whole block was reached.
+    assert max(k - done for k, done in at_write) == cli._BLOCK
 
 
 def _captured(fn, *args):
@@ -867,7 +930,9 @@ def _dict_row(g, n, z4):
 
 
 HUGE_GENUS = 3 * 10**200 + 1
-GENERA = (1, 2, 3, 4, 5, HUGE_GENUS)
+# Its constants g - 1 and g are the digits of `cli._SLOT` stand-ins.
+SLOT_GENUS = cli._SLOT + 1
+GENERA = (1, 2, 3, 4, 5, HUGE_GENUS, SLOT_GENUS)
 
 
 @pytest.fixture(scope="module")
@@ -877,6 +942,27 @@ def warning_catalog(tmp_path_factory):
     knots = [{"name": f"K{g}", "genus": g, "max_self_linking": 1} for g in GENERA]
     path.write_text(json.dumps({"knots": knots}))
     return str(path)
+
+
+def _block_edges(test):
+    """Add examples whose regimes fill `cli._BLOCK` = 64 rows, or miss by one,
+    in every format, with and without --z4.
+
+    At genus 2, -size..3+size gives the n <= -1 and n >= 4 regimes `size`
+    rows each; the record's first row is written alone, so the first regime
+    leaves size - 1 to its blocks.  At SLOT_GENUS, -65..65 and 2g-3..2g+63
+    cross every regime with a constant that holds a stand-in's digits.
+    """
+    for fmt in ("table", "tsv", "json"):
+        for z4 in (False, True):
+            for size in (63, 64, 65, 129):
+                test = example(fmt=fmt, z4=z4, g=2, by_knot=False, near_top=False,
+                               offset=-size, width=2 * size + 3)(test)
+            test = example(fmt=fmt, z4=z4, g=SLOT_GENUS, by_knot=z4, near_top=False,
+                           offset=-65, width=130)(test)
+            test = example(fmt=fmt, z4=z4, g=SLOT_GENUS, by_knot=not z4, near_top=True,
+                           offset=-2, width=66)(test)
+    return test
 
 
 # A window of slopes starting near 0 or near 2g-1 crosses the regime
@@ -894,6 +980,7 @@ def warning_catalog(tmp_path_factory):
 @example(fmt="table", z4=True, g=5, by_knot=False, near_top=False, offset=-4, width=16)
 @example(fmt="tsv", z4=True, g=5, by_knot=True, near_top=False, offset=-4, width=16)
 @example(fmt="json", z4=True, g=5, by_knot=False, near_top=False, offset=-4, width=16)
+@_block_edges
 def test_dims_rows_match_the_dict_row_writer(warning_catalog, fmt, z4, g, by_knot, near_top, offset, width):
     lo = (2 * g - 1) * near_top + offset
     hi = max(lo, lo + width)

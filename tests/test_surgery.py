@@ -117,6 +117,16 @@ def _row(g, n, z4):
     return (n,) + dims_z2(g, n).entries() + (dims_z4(g, n).entries() if z4 else ())
 
 
+def _flat(regimes):
+    """The flat rows of `dims_rows`' `(fixed, rows)` regimes: each row of
+    varying entries put into the None slots of its regime's `fixed`."""
+    for fixed, rows in regimes:
+        for row in rows:
+            assert len(row) == fixed.count(None)
+            entries = iter(row)
+            yield tuple(next(entries) if c is None else c for c in fixed)
+
+
 # A window anchored at a regime boundary (-1, 0, 1, 2g-1 or 2g) and moved
 # by up to 6 slopes either way either crosses that boundary or stays
 # inside one regime; width 0 is a one-slope range.
@@ -136,23 +146,26 @@ def _row(g, n, z4):
 def test_dims_rows_match_the_closed_forms(g, anchor, offset, width, z4):
     lo = {"-1": -1, "0": 0, "1": 1, "2g-1": 2 * g - 1, "2g": 2 * g}[anchor] + offset
     slopes = range(lo, lo + width + 1)
-    rows = list(dims_rows(g, slopes, z4))
+    regimes = [(fixed, list(rows)) for fixed, rows in dims_rows(g, slopes, z4)]
+    assert all(rows for _, rows in regimes)  # only non-empty regimes are yielded
+    rows = list(_flat(regimes))
     assert rows == [_row(g, n, z4) for n in slopes]
     assert all(type(x) is int for row in rows for x in row)
+    assert all(type(c) is int or c is None for fixed, _ in regimes for c in fixed)
 
 
 def test_dims_rows_are_lazy_within_a_regime():
     # The first regime of this range alone holds 10**12 slopes.
-    rows = dims_rows(2, range(-10**12, 10**12), True)
+    rows = _flat(dims_rows(2, range(-10**12, 10**12), True))
     assert next(rows) == _row(2, -10**12, True)
     assert next(rows) == _row(2, -10**12 + 1, True)
 
 
 @pytest.mark.parametrize("g", [0, -3])
 def test_dims_rows_refuse_a_bad_genus_on_the_first_draw(g):
-    rows = dims_rows(g, range(-2, 3), False)
+    regimes = dims_rows(g, range(-2, 3), False)
     with pytest.raises(ValueError, match="genus must be >= 1"):
-        next(rows)
+        next(regimes)
 
 
 @pytest.mark.parametrize("z4", [False, True])
@@ -171,8 +184,9 @@ def test_dims_rows_build_the_end_rows_of_each_regime(monkeypatch, z4):
     for name in built:
         monkeypatch.setattr(surgery, name, recorded(name))
     first = next(dims_rows(2, range(-3, 7), z4))
-    # Only the first regime's ends are built before its first row.
-    assert (first, built["dims_z2"]) == (_row(2, -3, z4), [-3, -1])
+    # Only the first regime's ends are built before it is yielded.
+    assert built["dims_z2"] == [-3, -1]
+    assert next(_flat([first])) == _row(2, -3, z4)
     list(dims_rows(2, range(-3, 7), z4))
     # -3..-1, 0, 1..3 and 4..6; a one-slope regime is built twice.
     assert sorted(set(built["dims_z2"])) == [-3, -1, 0, 1, 3, 4, 6]
@@ -182,6 +196,6 @@ def test_dims_rows_build_the_end_rows_of_each_regime(monkeypatch, z4):
 def test_dims_rows_check_the_end_rows_of_each_regime():
     # A genus that is not an int gives entries that are not ints; the
     # graded vector built at a regime's end refuses them before any row.
-    rows = dims_rows(2.5, range(3, 6), False)
+    regimes = dims_rows(2.5, range(3, 6), False)
     with pytest.raises(ValueError, match="d0 must be a nonnegative integer, got 4.0"):
-        next(rows)
+        next(regimes)
