@@ -1,25 +1,25 @@
-"""Exact arithmetic on Z/2- and Z/4-graded dimension vectors.
+"""Graded dimension vectors: the dimensions of a Z/2- or Z/4-graded vector space.
 
-Dimensions are plain Python integers (arbitrary precision); no floats
+A vector holds one nonnegative Python integer (arbitrary precision) per
+grading residue: (d0, d1) for Z/2 and (d0, d1, d2, d3) for Z/4.  No floats
 appear anywhere in this package.
+
+Each vector is a checked namedtuple: its entries are tested when it is made,
+by its constructor, `_make` or `_replace`.  It equals only a vector of its
+own class with the same entries, never a plain tuple, and hashes as the
+tuple of its entries.  It is immutable: setting or deleting a field raises
+AttributeError.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 
 class _GradedDim:
-    """Validation, total, comparison and immutability shared by the graded
-    dimension vectors.
-
-    A vector is frozen as a frozen dataclass is, equals only a vector of
-    its own class with the same entries, and hashes as its entries.
-
-    Each subclass's `__init__` tests its entries with one chained
-    expression and calls `_reject` only when that test fails, so a valid
-    vector pays for no call per entry.  It then stores each entry through
-    the field's slot descriptor, bound once below the class: cheaper than
-    `object.__setattr__`, and like it not stopped by frozenness.
-    """
+    """What the vectors add to namedtuple.  Each `__new__` tests its entries
+    in one chained expression and calls `_reject`, whose message names the
+    first bad position, only when that test fails."""
 
     __slots__ = ()
 
@@ -29,72 +29,45 @@ class _GradedDim:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"d{i} must be a nonnegative integer, got {v!r}")
 
-    def total(self) -> int:
-        return sum(self.entries())
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
+    # False, not NotImplemented, for another class: a plain tuple on the
+    # left would otherwise compare its entries with ours.
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries() == other.entries()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self.entries())
+    # tuple's `__ne__` would compare with any tuple; object's inverts `__eq__`.
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self.__slots__, self.entries()))
-        return f"{self.__class__.__name__}({fields})"
+    def entries(self) -> tuple:
+        return tuple(self)
 
-    def __reduce__(self):
-        return self.__class__, self.entries()
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def total(self) -> int:
+        return sum(self)
 
 
-class GradedDimZ2(_GradedDim):
+class GradedDimZ2(_GradedDim, namedtuple("GradedDimZ2", "d0 d1")):
     """Dimension vector of a Z/2-graded vector space: (d0, d1)."""
 
-    __slots__ = ("d0", "d1")
+    __slots__ = ()
 
-    def __init__(self, d0: int, d1: int):
+    def __new__(cls, d0: int, d1: int):
         if not (isinstance(d0, int) and d0 >= 0 and isinstance(d1, int) and d1 >= 0):
-            self._reject((d0, d1))
-        _z2_d0(self, d0)
-        _z2_d1(self, d1)
-
-    def entries(self) -> tuple:
-        return (self.d0, self.d1)
+            cls._reject((d0, d1))
+        return tuple.__new__(cls, (d0, d1))
 
 
-_z2_d0, _z2_d1 = GradedDimZ2.d0.__set__, GradedDimZ2.d1.__set__
-
-
-class GradedDimZ4(_GradedDim):
+class GradedDimZ4(_GradedDim, namedtuple("GradedDimZ4", "d0 d1 d2 d3")):
     """Dimension vector of a Z/4-graded vector space: (d0, d1, d2, d3)."""
 
-    __slots__ = ("d0", "d1", "d2", "d3")
+    __slots__ = ()
 
-    def __init__(self, d0: int, d1: int, d2: int, d3: int):
+    def __new__(cls, d0: int, d1: int, d2: int, d3: int):
         if not (isinstance(d0, int) and d0 >= 0 and isinstance(d1, int) and d1 >= 0
                 and isinstance(d2, int) and d2 >= 0 and isinstance(d3, int) and d3 >= 0):
-            self._reject((d0, d1, d2, d3))
-        _z4_d0(self, d0)
-        _z4_d1(self, d1)
-        _z4_d2(self, d2)
-        _z4_d3(self, d3)
-
-    def entries(self) -> tuple:
-        return (self.d0, self.d1, self.d2, self.d3)
-
-
-_z4_d0, _z4_d1, _z4_d2, _z4_d3 = (
-    GradedDimZ4.d0.__set__, GradedDimZ4.d1.__set__, GradedDimZ4.d2.__set__, GradedDimZ4.d3.__set__
-)
+            cls._reject((d0, d1, d2, d3))
+        return tuple.__new__(cls, (d0, d1, d2, d3))
 
 
 def collapse_z4_to_z2(v: GradedDimZ4) -> GradedDimZ2:

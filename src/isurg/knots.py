@@ -20,6 +20,7 @@ class CatalogError(ValueError):
 class KnotDescriptor(namedtuple("KnotDescriptor", "name genus max_self_linking lspace_slope lens_surgery",
                                 defaults=(None, False))):
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -13,6 +13,7 @@ from collections import namedtuple
 
 class LegendrianRep(namedtuple("LegendrianRep", "tb r")):
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -20,6 +20,7 @@ class FillingData(namedtuple("FillingData", "chi sigma b1_boundary c1_sq", defau
     stored as a Fraction."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

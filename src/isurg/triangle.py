@@ -21,6 +21,7 @@ from collections import namedtuple
 class CobordismData(namedtuple("CobordismData", "chi sigma b1_in b1_out b0_in b0_out spin",
                                defaults=(0, 0, 1, 1, True))):
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -39,6 +40,7 @@ class TriangleDegrees(namedtuple("TriangleDegrees", "deg_surgery deg_to_s3 deg_f
     S^3_n -> S^3_{n+1}, S^3_{n+1} -> S^3 and S^3 -> S^3_n."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -231,6 +231,19 @@ def test_catalog_env_and_flag_precedence(capsys, tmp_path, monkeypatch):
     assert "not found" in err
 
 
+def test_catalog_flag_without_knot_is_refused_before_it_is_opened(capsys, tmp_path, monkeypatch):
+    missing = str(tmp_path / "missing.json")
+    for fmt in ("table", "json"):
+        code, out, err = run(capsys, "--format", fmt, "dims", "--genus", "2", "--n", "1",
+                             "--catalog", missing)
+        assert (code, out, err) == (2, "", "error: --catalog needs --knot; --genus reads no catalog\n")
+
+    # The environment variable is a default, not a request: --genus ignores it.
+    monkeypatch.setenv(cli.CATALOG_ENV, missing)
+    code, out, err = run(capsys, "dims", "--genus", "2", "--n", "1")
+    assert (code, out, err) == (0, "n=1  z2_d0=3  z2_d1=2  provenance=eq1\n", "")
+
+
 def test_triangle(capsys):
     code, record, _ = run_json(capsys, "triangle", "--n", "-1")
     assert code == 0
@@ -764,30 +777,39 @@ def test_dims_imports_only_what_it_computes_with():
 
 
 def test_record_commands_load_neither_dataclasses_nor_inspect(tmp_path):
-    # The records of triangle, legendrian, planefield and knots are checked
-    # namedtuples; `dataclasses` (and the `inspect` it imports) costs a
-    # one-shot command about 10 ms of start-up.  One fresh interpreter runs
-    # every command whose modules build such a record.
+    # Every record, the graded vectors included, is a checked namedtuple;
+    # `dataclasses` (and the `inspect` it imports) costs a one-shot command
+    # about 10 ms of start-up.  One fresh interpreter runs every subcommand,
+    # and then assigns to a field of a vector, which must fail without
+    # loading `dataclasses` for its error type.
     catalog = tmp_path / "catalog.json"
     catalog.write_text(json.dumps({"knots": [{"name": "K", "genus": 2, "max_self_linking": 3}]}))
     script = (
         "import json, sys\n"
-        "from isurg import cli\n"
+        "from isurg import cli, graded\n"
         "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "try:\n"
+        "    graded.GradedDimZ2(1, 0).d0 = 2\n"
+        "except AttributeError:\n"
+        "    codes.append('frozen')\n"
         "print(json.dumps([codes, sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)]))\n"
     )
     commands = [
-        ["triangle", "--n", "-1"],
-        ["legendrian", "--tb", "1", "--rot", "0", "--target-tb", "-2"],
-        ["planefield", "--chi", "1", "--sigma", "0", "--c1sq", "1/2"],
+        ["dims", "--genus", "2", "--n", "1"],
         ["dims", "--knot", "torus:2,3", "--n", "1"],
         ["dims", "--knot", "K", "--n", "1", "--catalog", str(catalog)],
+        ["triangle", "--n", "-1"],
+        ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-3:3", "--trace"],
+        ["legendrian", "--tb", "1", "--rot", "0", "--target-tb", "-2"],
+        ["planefield", "--chi", "1", "--sigma", "0", "--c1sq", "1/2"],
+        ["trefoil", "--n", "3"],
     ]
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(commands), []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(commands) + ["frozen"], []]
 
 
 def test_closed_pipe_exits_cleanly():
