@@ -15,9 +15,11 @@ and ends the run quietly with exit 0.  `surgery.dims_rows` gives a `dims`
 range one closed-form regime at a time: the regime's entries that do not
 depend on n, and a generator of those that do.  Once per record, a sample
 row goes through the writer that formats every other command's dict rows,
-with a stand-in for each int; each regime's `%` template has its constants
-written in and a `%d` for each varying entry.  The first row is written
-alone, and the rest `_BLOCK` rows to one `%` and one `write`.
+with a stand-in for each int; that text, each `%` escaped for two `%` steps
+and a `%s` at each stand-in, is a skeleton, and one `%` over it gives a
+regime's template, with its constants and a `%d` for each varying entry.
+The first row is written alone, the rest `_BLOCK` rows to one `%` and one
+`write`.
 
 Exit codes: 0 success; 2 when a `cmd_<name>` raises ValueError, whose
 text is written as `error: <text>`; 3 when it returns a record holding
@@ -129,8 +131,8 @@ def _emit(record: dict, fmt: str) -> None:
         cols = _COMMANDS[record["command"]][1].split()
         write("\t".join(cols) + "\n")
         _write_rows(record["results"], lambda res: _tsv_row(res, cols))
-        return
-    _write_rows(record["results"], _table_row)
+    else:
+        _write_rows(record["results"], _table_row)
     if "trace" in record:
         for e in record["trace"]:
             write(
@@ -141,13 +143,11 @@ def _emit(record: dict, fmt: str) -> None:
 
 
 def _tsv_row(res: dict, cols) -> str:
-    row = _flatten(res)
-    return "\t".join([str(v) if type(v) is int else _fmt(v) for v in map(row.get, cols)]) + "\n"
+    return "\t".join(map(_fmt, map(_flatten(res).get, cols))) + "\n"
 
 
 def _table_row(res: dict) -> str:
-    return "  ".join([f"{k}={str(v) if type(v) is int else _fmt(v)}"
-                      for k, v in _flatten(res).items() if v is not None]) + "\n"
+    return "  ".join([f"{k}={_fmt(v)}" for k, v in _flatten(res).items() if v is not None]) + "\n"
 
 
 def _flatten(res: dict) -> dict:
@@ -168,8 +168,9 @@ def _write_rows(results, render, first="", sep="") -> bool:
 
     A dict row is rendered on its own.  `dims` results are `(fixed, rows)`
     regimes (see `surgery.dims_rows`).  A sample row is rendered once per
-    record and cut at its ints; each regime's `%` template is those parts
-    with the regime's constants written in and a `%d` for each varying
+    record into a skeleton, its text with each `%` escaped for two `%`
+    steps and a `%s` at each int; one `%` over the skeleton gives a
+    regime's template, with its constants and a `%d` for each varying
     entry.  The record's first row is written alone, the rest `_BLOCK` rows
     to one `%` and one `write`.  `%d` refuses an int too long to print with
     the same ValueError as `str`; a block that holds one is written again
@@ -186,13 +187,13 @@ def _write_rows(results, render, first="", sep="") -> bool:
         for row in rows:
             write(sep + render(row))
         return True
-    fixed, flat = row
-    parts = _row_parts(render, len(fixed))
-    template = _template(parts, fixed)
-    write((first + template) % next(flat))
-    _write_blocks(write, sep + template, flat)
-    for fixed, flat in rows:
-        _write_blocks(write, sep + _template(parts, fixed), flat)
+    skeleton = _skeleton(render, len(row[0]))
+    for fixed, flat in chain((row,), rows):
+        template = skeleton % tuple(["%d" if c is None else "%d" % c for c in fixed])
+        if first is not None:
+            write((first + template) % next(flat))
+            first = None
+        _write_blocks(write, sep + template, flat)
     return True
 
 
@@ -219,23 +220,13 @@ def _write_blocks(write, template, rows) -> None:
 _SLOT = 10**40
 
 
-def _row_parts(render, width: int) -> list:
+def _skeleton(render, width: int) -> str:
     """The text of `render(_dims_row(row))` for a flat `dims` row of `width`
-    ints, cut at each int and `%`-escaped: `width + 1` parts."""
-    text = render(_dims_row(tuple(range(_SLOT, _SLOT + width))))
-    parts = []
+    ints, with each `%` escaped for two `%` steps and a `%s` at each int."""
+    text = render(_dims_row(tuple(range(_SLOT, _SLOT + width)))).replace("%", "%%%%")
     for slot in range(_SLOT, _SLOT + width):
-        head, _, text = text.partition(str(slot))
-        parts.append(head.replace("%", "%%"))
-    parts.append(text.replace("%", "%%"))
-    return parts
-
-
-def _template(parts, fixed) -> str:
-    """The `%` template of a regime's rows: `parts` with each int of `fixed`
-    written in as `%d` writes it, and a `%d` slot for each None."""
-    return parts[0] + "".join([("%d" if c is None else "%d" % c) + part
-                               for c, part in zip(fixed, parts[1:])])
+        text = text.replace(str(slot), "%s", 1)
+    return text
 
 
 # -- argument helpers -----------------------------------------------------
@@ -371,9 +362,7 @@ def cmd_triangle(args) -> dict:
     degs = triangle.triangle_degrees(n)
     res = {
         "n": n,
-        "deg_surgery": degs.deg_surgery,
-        "deg_to_s3": degs.deg_to_s3,
-        "deg_from_s3": degs.deg_from_s3,
+        **degs._asdict(),
         "d_spin_surgery": triangle.d_degree(triangle.surgery_map_cobordism_data(n)),
         "d_spin_other": triangle.d_degree(triangle.spin_s3_cobordism_data(n)),
         "provenance": "cor51",

@@ -59,12 +59,12 @@ def torus_knot(p: int, q: int) -> KnotDescriptor:
     )
 
 
-# Catalog documents are JSON: {"knots": [{...}, ...]} with per-entry keys
-# name, genus, max_self_linking, lspace_slope (optional), lens_surgery
-# (optional, default false).
+# Catalog documents are JSON: {"knots": [{...}, ...]}.  An entry's keys are
+# KnotDescriptor's fields; those with a default (lspace_slope: none,
+# lens_surgery: false) may be left out.
 
-_REQUIRED = ("name", "genus", "max_self_linking")
-_OPTIONAL = ("lspace_slope", "lens_surgery")
+_DEFAULTS = KnotDescriptor._field_defaults
+_REQUIRED = [key for key in KnotDescriptor._fields if key not in _DEFAULTS]
 _INTEGERS = ("genus", "max_self_linking", "lspace_slope")
 
 
@@ -83,7 +83,7 @@ def load_catalog(source: str) -> list:
         for key in _REQUIRED:
             if key not in entry:
                 raise CatalogError(f"knots[{i}]: missing required key {key!r}")
-        unknown = set(entry) - set(_REQUIRED) - set(_OPTIONAL)
+        unknown = set(entry).difference(KnotDescriptor._fields)
         if unknown:
             raise CatalogError(f"knots[{i}]: unknown keys {sorted(unknown)}")
         name = entry["name"]
@@ -93,7 +93,7 @@ def load_catalog(source: str) -> list:
             value = entry.get(key)
             # A JSON true is a bool, which Python counts as an int; a null
             # lspace_slope means none, as an absent one does.
-            if type(value) is not int and (value is not None or key in _REQUIRED):
+            if type(value) is not int and (value is not None or key not in _DEFAULTS):
                 raise CatalogError(
                     f"knots[{i}] ({name}): {key} must be an integer, "
                     f"got {json.dumps(value)[:40]}"
@@ -105,15 +105,7 @@ def load_catalog(source: str) -> list:
                 f"got {json.dumps(lens)[:40]}"
             )
         try:
-            out.append(
-                KnotDescriptor(
-                    name=name,
-                    genus=entry["genus"],
-                    max_self_linking=entry["max_self_linking"],
-                    lspace_slope=entry.get("lspace_slope"),
-                    lens_surgery=lens,
-                )
-            )
+            out.append(KnotDescriptor(**entry))
         except ValueError as e:
             raise CatalogError(f"knots[{i}] ({name}): {e}") from e
     return out

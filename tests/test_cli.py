@@ -272,6 +272,20 @@ def test_oracle_trace_schema(capsys):
     )
 
 
+@pytest.mark.parametrize("fmt", ["table", "tsv"])
+def test_oracle_trace_lines_in_every_text_format(capsys, fmt):
+    argv = ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-3:3", "--trace"]
+    _, record, _ = run_json(capsys, *argv)
+    code, out, err = run(capsys, "--format", fmt, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    trace = [line for line in lines if line.startswith("trace: ")]
+    assert len(trace) == len(record["trace"]) > 0
+    # The trace follows the rows, after a TSV header when there is one.
+    assert lines[-len(trace):] == trace
+    assert len(lines) - len(trace) == len(record["results"]) + (fmt == "tsv")
+
+
 def test_oracle_wide_range_exits_0(capsys):
     code, out, _ = run(
         capsys, "oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-400:400"

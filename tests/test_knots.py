@@ -92,6 +92,20 @@ def test_name_of_another_type_rejected(value):
         load_catalog(doc)
 
 
+@pytest.mark.parametrize("missing", [("name",), ("genus",), ("max_self_linking",),
+                                     ("genus", "max_self_linking"), ("name", "max_self_linking"),
+                                     ("name", "genus", "max_self_linking")])
+def test_missing_required_key_rejected(missing):
+    # The required keys are KnotDescriptor's fields without a default; the
+    # first one missing, in field order, is named.
+    entry = {"name": "K", "genus": 1, "max_self_linking": 1, "lspace_slope": 5}
+    for key in missing:
+        del entry[key]
+    message = f"knots[0]: missing required key '{missing[0]}'"
+    with pytest.raises(CatalogError, match=re.escape(message) + "$"):
+        load_catalog(json.dumps({"knots": [entry]}))
+
+
 def test_unknown_key_rejected():
     doc = '{"knots": [{"name": "K", "genus": 1, "max_self_linking": 1, "slope": 5}]}'
     with pytest.raises(CatalogError, match="unknown keys"):

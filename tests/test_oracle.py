@@ -421,6 +421,31 @@ def test_skipped_visits_change_nothing_property(data):
     assert (untraced.sweeps, untraced.applications) == (solved.sweeps, solved.applications)
 
 
+def _work(g, m, slope_range):
+    system = build_system(g, m, slope_range, trace=True)
+    system.solve()
+    return system.applications, len(system.trace), system.sweeps
+
+
+# Without drops the work is affine in the range: each slope added below
+# lo <= -1 costs 16 applications (a visit in each of 4 sweeps) and 8 trace
+# entries, each added above hi >= m costs 8 and 6, and no solve takes more
+# than 4 sweeps.
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_work_is_affine_in_the_range(data):
+    g = data.draw(st.integers(1, 6), label="g")
+    m = data.draw(st.integers(2 * g - 1, 2 * g + 30), label="m")
+    lo = data.draw(st.integers(-60, -1), label="lo")
+    hi = data.draw(st.integers(m, m + 60), label="hi")
+    applications, trace_len, sweeps = _work(g, m, (lo, hi))
+    down = _work(g, m, (lo - 1, hi))
+    up = _work(g, m, (lo, hi + 1))
+    assert (down[0] - applications, down[1] - trace_len) == (16, 8)
+    assert (up[0] - applications, up[1] - trace_len) == (8, 6)
+    assert max(sweeps, down[2], up[2]) <= 4
+
+
 # (applications, sweeps, trace length) of a traced solve, for every single
 # drop, two double drops and a range above 0.  A change to the sweep order,
 # the skip rule or how applications are counted shows here.
