@@ -11,15 +11,8 @@ byte-stable.  Result rows are written as they are computed, so `dims`
 holds at most one block of `_BLOCK` rows at any range (`oracle` holds its
 solved slopes and makes each row as it is written), and a reader that
 closes stdout early (`isurg dims ... | head -1`) stops a long range there
-and ends the run quietly with exit 0.  `surgery.dims_rows` gives a `dims`
-range one closed-form regime at a time: the regime's entries that do not
-depend on n, and a generator of those that do.  Once per record, a sample
-row goes through the writer that formats every other command's dict rows,
-with a stand-in for each int; that text, each `%` escaped for two `%` steps
-and a `%s` at each stand-in, is a skeleton, and one `%` over it gives a
-regime's template, with its constants and a `%d` for each varying entry.
-The first row is written alone, the rest `_BLOCK` rows to one `%` and one
-`write`.
+and ends the run quietly with exit 0.  A `dims` range is written one
+closed-form regime at a time, from one template per regime (`_write_rows`).
 
 Exit codes: 0 success; 2 when a `cmd_<name>` raises ValueError, whose
 text is written as `error: <text>`; 3 when it returns a record holding

@@ -2,7 +2,8 @@
 
 Instead of evaluating the closed forms, this solver starts from interval
 bounds [lo, hi] on the graded dimensions at every surgery slope and
-propagates six constraint families to a fixpoint:
+propagates constraints to a fixpoint.  C1 and C2 are data; C3-C6 are the
+rules:
 
   C1  base: at the L-space slope m the dimensions are (m, 0)
   C2  anchor: the unsurgered manifold contributes total dimension 1
@@ -21,12 +22,14 @@ determine both gradings).  When every interval collapses the result
 reproduces the closed-form answer; open intervals or crossed bounds are
 reported, never guessed.
 
-Without C2 the anchor total is only known to lie in [0, infinity), and
-then no triangle sum of C4 bounds anything, so dropping C2 switches C4
-off as well.
+C1 is the starting state: `solve` pins the base slope before the first
+sweep, and every other bound starts at [0, infinity).  C2 is the constant
+anchor in C4's sums.  Without C2 the anchor total is only known to lie in
+[0, infinity), and then no triangle sum of C4 bounds anything, so dropping
+C2 switches C4 off as well.
 
-Every constraint only narrows intervals, so propagation reaches the same
-fixpoint whatever order the constraints are applied in (Apt, "The essence
+Every rule only narrows intervals, so propagation reaches the same
+fixpoint whatever order the rules are applied in (Apt, "The essence
 of constraint propagation", 1999).  The solver is free to pick the order
 for speed: it sweeps the slopes upward, then downward, and so on.  C4 and
 C5 carry bounds between neighbouring slopes in both directions, so a
@@ -36,14 +39,26 @@ the range [-R, R].  Alternating sweeps carry each chain end to end in one
 pass.
 
 Most visits in the later sweeps would change nothing, and the solver skips
-them: every constraint at slope n reads and writes only slopes n-1..n+1,
+them: every rule at slope n reads and writes only slopes n-1..n+1,
 so a visit to n is skipped when no bound in that window changed since the
 previous visit to n began (Apt's chaotic iteration re-applies only
 functions whose inputs changed).  Bounds, trace, sweeps and contradictions
-are exactly those of the unskipped sweeps.  Measured without drops (g 1..6,
-m 2g-1..2g+30), a solve takes at most 4 sweeps, each slope added below
-lo <= -1 costs 16 applications and 8 trace entries, and each added above
-hi >= m costs 8 and 6 (tests/test_oracle.py).
+are exactly those of the unskipped sweeps.
+
+The work is affine in the range.  Measured (g 1..6, m 2g-1..2g+30, ranges
+[lo, hi] with lo <= -1 and hi >= m; tests/test_oracle.py), one slope more
+below lo and one more above hi add these applications and trace entries,
+and a solve takes the sweeps shown:
+
+  drop      below lo   above hi        sweeps
+  none      16, 8      8, 6            4
+  C1        12, 5      8, 3            4
+  C2, C4     9, 5      9, 5            3
+  C3         9, 3      6, 2 or 3       3
+  C5        12, 8      6, 6            4
+  C6        12, 5      6, 6            4
+
+The constant term depends on (g, m) and is not stated here.
 
 A visit applies C3, C4, C5 and C6 at its slope, in that order, in one loop
 body (`_apply`) that states each rule once.  Most candidate bounds a rule
@@ -59,10 +74,9 @@ A visit stamps the slopes it changed (n, n+1 through C4, n-1 through C5)
 once, when it ends, with one new tick.  That is exact: the stamps are read
 only by the skip test when a visit begins, no visit begins between a
 change and the end of the visit that made it, so every skip test compares
-as it would with a stamp per tightening.
-
-The bounds are two flat lists, `lo` and `hi` (None = unbounded above),
-with STRIDE = 3 entries per slope; a visit reads and writes them by index.
+as it would with a stamp per tightening.  The C1 seed stamps nothing:
+sweep 1 visits every slope whatever its stamp, and every later skip test
+compares with a visit that began after the seed.
 
 About one visit in three still finds its slope settled, and two rule
 checks are skipped where no candidate can be tighter than its bound:
@@ -81,10 +95,6 @@ So a skipped check would change no bound, add no trace entry and move no
 tick; it still counts as an application.  Any other state runs the full
 rule, so a pinned but inconsistent slope or pair still raises
 ContradictionError.
-
-The trace is built only on request (`ConstraintSystem(..., trace=True)`,
-as the CLI's `--trace` does); by default `trace` stays empty, and nothing
-else depends on the choice.
 
 A solve has no work budget; `solve` shows that it ends.  Only the width
 of the padded slope range is limited, by MAX_APPLICATIONS (from R = 124,998
@@ -178,9 +188,9 @@ class ConstraintSystem:
         size = STRIDE * width
         self.lo = [0] * size
         self.hi = [None] * size
-        # Tick of the visit that last changed each slope's bounds (or of its
-        # last C1 tightening), slope n at n - _lo + 1: one slope past each
-        # end, so that every window n-1..n+1 that _apply checks exists.
+        # Tick of the visit that last changed each slope's bounds, slope n at
+        # n - _lo + 1: one slope past each end, so that every window n-1..n+1
+        # that _apply checks exists.  Only _apply writes these and _tick.
         self._changed_at = [0] * (self._hi - self._lo + 3)
         self._tick = 0
 
@@ -194,10 +204,11 @@ class ConstraintSystem:
     # A rule stores a strictly tighter bound into `lo`/`hi` itself, and its
     # visit stamps the slope in `_changed_at` when it ends.  Before storing,
     # the rule calls one of these when the solve is traced or the new bound
-    # crosses the opposite one; they are the only code that appends a
-    # TraceEntry or raises ContradictionError.  Each takes a flat index into
-    # `lo`/`hi`, whose entries are current at every call.  A lower bound is
-    # never negative, so `value > lo[i]` also implies `value > 0`.
+    # crosses the opposite one, and the C1 seed calls them for each of its
+    # bounds; they are the only code that appends a TraceEntry or raises
+    # ContradictionError.  Each takes a flat index into `lo`/`hi`, whose
+    # entries are current at every call.  A lower bound is never negative,
+    # so `value > lo[i]` also implies `value > 0`.
 
     def _slope_grading(self, i) -> tuple:
         p, grading = divmod(i, STRIDE)
@@ -225,32 +236,6 @@ class ConstraintSystem:
                 f"{lo} at slope {slope} (grading {grading})"
             )
 
-    # -- constraints ------------------------------------------------------
-    #
-    # Each returns whether it changed a bound.  C3-C6 are stated once, in
-    # _apply.
-
-    def _c1(self, n) -> bool:
-        if n != self.lspace_slope:
-            return False
-        lo, hi = self.lo, self.hi
-        start = self._tick
-        i = STRIDE * (n - self._lo)
-        # Pin d0 and the total to m (= n) and d1 to 0, whose lower bound is 0 already.
-        for j, v in ((i, n), (i + 1, 0), (i + TOTAL, n)):
-            if v > lo[j]:
-                self._check_lo(j, v, "C1", ())
-                lo[j] = v
-                self._tick += 1
-            if hi[j] is None or v < hi[j]:
-                self._check_hi(j, v, "C1", ())
-                hi[j] = v
-                self._tick += 1
-        if self._tick == start:
-            return False
-        self._changed_at[n - self._lo + 1] = self._tick
-        return True
-
     # C2, the total dimension 1 of the unsurgered S^3, enters as the
     # constant anchor in C4's triangle sums.
     _S3_TOTAL = 1
@@ -259,15 +244,9 @@ class ConstraintSystem:
         """Visit each slope in turn and apply the flagged constraints among
         C3-C6 there, in that order; returns whether any bound changed.
         `visited` holds, by slope position, the tick when the last visit
-        began; a visit whose window n-1..n+1 has no bound change newer than
-        that is skipped.  A C3 or C4 check whose bounds are in the pinned
-        state where every candidate equals its bound (see the module
-        docstring) is skipped, but still counted.  A visit counts one
-        application per flagged constraint when it starts, keeps its bounds
-        in locals that every store updates with the list, and stamps the
-        slopes it changed with one new tick when it ends (see the module
-        docstring); a ContradictionError leaves its visit unstamped, ending
-        the solve."""
+        began.  A visit counts one application per flagged rule when it
+        starts; its skips, locals and stamps are as the module docstring
+        says, and a ContradictionError leaves it unstamped, ending the solve."""
         lo = self.lo
         hi = self.hi
         traced = self.traced
@@ -480,6 +459,22 @@ class ConstraintSystem:
         dropped = self.dropped | ({"C4"} if "C2" in self.dropped else set())
         return tuple(cname not in dropped for cname in ("C3", "C4", "C5", "C6"))
 
+    def _seed_base(self):
+        """C1, unless dropped: pin d0 = total = m and d1 = 0 at the L-space
+        slope m.  `solve` runs it once, before the first sweep; it moves no
+        tick and stamps no slope (see the module docstring)."""
+        if "C1" in self.dropped:
+            return
+        m = self.lspace_slope
+        i = STRIDE * (m - self._lo)
+        for j, v in ((i, m), (i + 1, 0), (i + TOTAL, m)):
+            if v > self.lo[j]:
+                self._check_lo(j, v, "C1", ())
+                self.lo[j] = v
+            if self.hi[j] is None or v < self.hi[j]:
+                self._check_hi(j, v, "C1", ())
+                self.hi[j] = v
+
     def solve(self) -> dict:
         """Propagate to a fixpoint; returns {slope: GradedDimZ2} over the
         requested range, in slope order.  Raises ContradictionError or
@@ -509,10 +504,7 @@ class ConstraintSystem:
 
         With trace=True every tightening appends a TraceEntry to `trace`,
         in order; nothing else depends on the choice."""
-        # C1 is a base fact with no dependencies; seed it before the
-        # round-robin so the base slope's trace starts from it.
-        if "C1" not in self.dropped:
-            self._c1(self.lspace_slope)
+        self._seed_base()
         active = self._active()
         order = list(range(self._lo, self._hi + 1))
         visited = [-1] * len(order)  # tick when the last visit began

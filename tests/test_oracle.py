@@ -125,6 +125,26 @@ def test_explain():
     assert "C4" in neg
 
 
+@pytest.mark.parametrize("g", range(1, 7))
+def test_c1_is_the_starting_state(g):
+    # The seed pins the base slope before the first sweep, moves no tick and
+    # stamps no slope; a solve's trace starts with its five entries, and no
+    # rule names C1 later.
+    for m in range(2 * g - 1, 2 * g + 31):
+        base = [("C1", m, 0, "lo", m, ()), ("C1", m, 0, "hi", m, ()), ("C1", m, 1, "hi", 0, ()),
+                ("C1", m, 2, "lo", m, ()), ("C1", m, 2, "hi", m, ())]
+        seeded = build_system(g, m, (-3, 3), trace=True)
+        seeded._seed_base()
+        assert (seeded.trace, seeded._tick, any(seeded._changed_at)) == (base, 0, False), m
+        solved = build_system(g, m, (-3, 3), trace=True)
+        solved.solve()
+        assert solved.trace[:5] == base, m
+        assert all(e.constraint != "C1" for e in solved.trace[5:]), m
+        dropped = build_system(g, m, (-3, 3), drop=("C1",), trace=True)
+        _outcome(dropped)
+        assert all(e.constraint != "C1" for e in dropped.trace), m
+
+
 def test_trefoil_family():
     assert solve_trefoil_family(1) == {1: GradedDimZ2(1, 0)}
     r = solve_trefoil_family(10)
@@ -242,12 +262,12 @@ def test_build_holds_no_object_per_bound():
 
 
 def _chaotic_fixpoint(system, rng, after_step=lambda: None):
-    """Apply the system's constraints in random slope and constraint orders
-    until no bound changes, calling `after_step` after each application;
-    independent of solve()'s sweep schedule."""
+    """Seed C1, then apply the system's rules in random slope and rule
+    orders until no bound changes, calling `after_step` after the seed and
+    after each application; independent of solve()'s sweep schedule."""
+    system._seed_base()
+    after_step()
     steps = _rules(system)
-    if "C1" not in system.dropped:
-        steps.append(system._c1)
     slopes = list(range(system._lo, system._hi + 1))
     for _ in range(2 * len(slopes)):
         changed = False
@@ -271,7 +291,8 @@ def test_each_bound_change_stamps_its_own_slope(trace):
     solved = build_system(2, 5, (-12, 12))
     solved.solve()
     system = build_system(2, 5, (-12, 12), trace=trace)
-    steps = [(c, _rule(system, c)) for c in RULES] + [("C1", system._c1), ("fused", _rule(system, *RULES))]
+    system._seed_base()
+    steps = [(c, _rule(system, c)) for c in RULES] + [("fused", _rule(system, *RULES))]
     slopes = list(range(system._lo, system._hi + 1))
     rng = random.Random(0)
     for _ in range(20000):
@@ -363,8 +384,7 @@ def test_oracle_equals_closed_form_property(data):
 def _unskipped_sweeps(system):
     """solve()'s alternating sweeps with every visit made; returns the
     number of sweeps and of applications."""
-    if "C1" not in system.dropped:
-        system._c1(system.lspace_slope)
+    system._seed_base()
     steps = _rules(system)
     order = list(range(system._lo, system._hi + 1))
     sweeps = applications = 0
@@ -444,6 +464,41 @@ def test_work_is_affine_in_the_range(data):
     assert (down[0] - applications, down[1] - trace_len) == (16, 8)
     assert (up[0] - applications, up[1] - trace_len) == (8, 6)
     assert max(sweeps, down[2], up[2]) <= 4
+
+
+# With one rule dropped the work is affine in the range too: (applications,
+# trace entries) for one slope more below lo, then above hi, and the sweeps
+# of every solve.  Upward, C3's trace entries are 2 or 3 and are not pinned.
+DROP_LAW = {
+    "C1": ((12, 5), (8, 3), 4),
+    "C2": ((9, 5), (9, 5), 3),
+    "C3": ((9, 3), (6, None), 3),
+    "C4": ((9, 5), (9, 5), 3),
+    "C5": ((12, 8), (6, 6), 4),
+    "C6": ((12, 5), (6, 6), 4),
+}
+
+
+@pytest.mark.parametrize("drop", sorted(DROP_LAW))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_work_is_affine_in_the_range_under_one_drop(drop, data):
+    g = data.draw(st.integers(1, 6), label="g")
+    m = data.draw(st.integers(2 * g - 1, 2 * g + 30), label="m")
+    lo = data.draw(st.integers(-60, -1), label="lo")
+    hi = data.draw(st.integers(m, m + 60), label="hi")
+    work = []
+    for slope_range in ((lo, hi), (lo - 1, hi), (lo, hi + 1)):
+        system = build_system(g, m, slope_range, drop=(drop,), trace=True)
+        _outcome(system)
+        work.append((system.applications, len(system.trace), system.sweeps))
+    (applications, trace_len, _), down, up = work
+    (down_applications, down_trace), (up_applications, up_trace), sweeps = DROP_LAW[drop]
+    assert (down[0] - applications, down[1] - trace_len) == (down_applications, down_trace)
+    assert up[0] - applications == up_applications
+    if up_trace is not None:
+        assert up[1] - trace_len == up_trace
+    assert [w[2] for w in work] == [sweeps] * 3
 
 
 # (applications, sweeps, trace length) of a traced solve, for every single
