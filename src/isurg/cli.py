@@ -19,10 +19,10 @@ text is written as `error: <text>`; 3 when it returns a record holding
 `error`, which is written as the JSON report whatever --format says.  A
 ValueError is the library's own refusal of its input, or a check of the
 CLI's: a `dims` range of more than MAX_ITEMS slopes, a `--catalog` given
-with `--genus` (which reads no catalog), a `legendrian` target tb that
-gives more than MAX_ITEMS rotation numbers, a `--catalog` file of more
-than MAX_CATALOG_BYTES bytes, or a `--c1sq` whose numerator or
-denominator would pass Python's limit on int digits.  A result holding
+with `--genus` or a torus knot (which read no catalog), a `legendrian`
+target tb that gives more than MAX_ITEMS rotation numbers, a `--catalog`
+file of more than MAX_CATALOG_BYTES bytes, or a `--c1sq` whose numerator
+or denominator would pass Python's limit on int digits.  A result holding
 an integer too long for Python to convert to text also exits 2; the part
 of the record already written stays on stdout, in every format, and any
 warning still reaches stderr.  Exit 3 is a mathematical failure: an
@@ -315,6 +315,8 @@ def cmd_dims(args) -> dict:
     # $ISURG_CATALOG is a default and stays silent; the flag is a request.
     if args.catalog is not None and args.knot is None:
         raise ValueError("--catalog needs --knot; --genus reads no catalog")
+    if args.catalog is not None and args.knot.startswith("torus:"):
+        raise ValueError("--catalog needs a catalog knot; torus:P,Q reads no catalog")
     lo, hi = (args.n, args.n) if args.range is None else args.range
     if hi - lo + 1 > MAX_ITEMS:
         raise ValueError(

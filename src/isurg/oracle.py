@@ -58,7 +58,9 @@ and a solve takes the sweeps shown:
   C5        12, 8      6, 6            4
   C6        12, 5      6, 6            4
 
-The constant term depends on (g, m) and is not stated here.
+Without drops the constant is measured too: 56 + 8g + 4m - 16 lo + 8 hi
+applications, and 35 + 6g + 6m - max(0, 2g+1-m) + 8(-1-lo) + 6(hi-m) trace
+entries, plus 1 when g = 1 and m <= 2.
 
 A visit applies C3, C4, C5 and C6 at its slope, in that order, in one loop
 body (`_apply`) that states each rule once.  Most candidate bounds a rule
@@ -83,8 +85,8 @@ checks are skipped where no candidate can be tighter than its bound:
 
   C3 at slope n, when d0, d1 and the total are pinned at a, b and t with
      a = b + |n| and t = a + b.  Then t = 2b + |n| = 2a - |n|, and each of
-     the rule's ten candidates (d1 + |n|, d0 - |n|, 2*d1 + |n| and the
-     halves (t -+ |n|) / 2, each at lo and at hi) equals the a, b or t it
+     the rule's seven candidates (d1 + |n|, d0 - |n| and 2*d1 + |n| at lo,
+     and the halves (t -+ |n|) / 2 at lo and at hi) equals the a, b or t it
      is compared with.
   C4 at (n, n+1), when both totals are pinned at t and u with |t - u| <= 1
      and t + u >= 1, the anchor total.  Then the upper candidate u + 1 is
@@ -95,6 +97,15 @@ So a skipped check would change no bound, add no trace entry and move no
 tick; it still counts as an application.  Any other state runs the full
 rule, so a pinned but inconsistent slope or pair still raises
 ContradictionError.
+
+C3's upper bounds come only from the total's, as (t.hi -+ |n|) / 2: no
+state a solve reaches lets d1.hi + |n|, d0.hi - |n| or 2*d1.hi + |n|
+tighten anything, and a reduction that narrows no reachable state leaves
+the fixpoint unchanged (Apt).  Only C1 and those two halves write d0.hi
+and d1.hi, always as a pair with d0.hi = d1.hi + |n|.  Only C1, C4 and C5
+write a total's hi, each with the parity of |n| (C4 and C5 step by 1 to a
+neighbour), so the halves are exact and store both or neither.  So a
+stored d1.hi is (t.hi - |n|) / 2, and t.hi only falls after that.
 
 A solve has no work budget; `solve` shows that it ends.  Only the width
 of the padded slope range is limited, by MAX_APPLICATIONS (from R = 124,998
@@ -279,36 +290,19 @@ class ConstraintSystem:
                 if c3:
                     k = abs(n)
                     if not (h0 == l0 and h1 == l1 and ht == lt and l0 == l1 + k and lt == l0 + l1):
-                        # pairwise euler coupling: d0 = d1 + k
+                        # euler coupling d0 = d1 + k; upper bounds come from the total
                         v = l1 + k
                         if v > l0:
                             if traced or (h0 is not None and v > h0):
                                 check_lo(i0, v, "C3", (n,))
                             lo[i0] = l0 = v
                             cn = True
-                        if h1 is not None:
-                            v = h1 + k
-                            if h0 is None or v < h0:
-                                if traced or v < l0:
-                                    check_hi(i0, v, "C3", (n,))
-                                hi[i0] = h0 = v
-                                cn = True
                         v = l0 - k
                         if v > l1:
                             if traced or (h1 is not None and v > h1):
                                 check_lo(i1, v, "C3", (n,))
                             lo[i1] = l1 = v
                             cn = True
-                        # Neither upper bound from hi - k needs max(., 0): the steps
-                        # before it left lo[i0] >= lo[i1] + k, or lo[it] >= 2*lo[i1] + k,
-                        # so lo >= k, and a store that would cross raises: hi >= lo >= k.
-                        if h0 is not None:
-                            v = h0 - k
-                            if h1 is None or v < h1:
-                                if traced or v < l1:
-                                    check_hi(i1, v, "C3", (n,))
-                                hi[i1] = h1 = v
-                                cn = True
                         # total = 2*d1 + k = 2*d0 - k
                         v = 2 * l1 + k
                         if v > lt:
@@ -316,19 +310,15 @@ class ConstraintSystem:
                                 check_lo(it, v, "C3", (n,))
                             lo[it] = lt = v
                             cn = True
-                        if h1 is not None:
-                            v = 2 * h1 + k
-                            if ht is None or v < ht:
-                                if traced or v < lt:
-                                    check_hi(it, v, "C3", (n,))
-                                hi[it] = ht = v
-                                cn = True
                         v = -((k - lt) // 2)  # ceil((t.lo - k) / 2)
                         if v > l1:
                             if traced or (h1 is not None and v > h1):
                                 check_lo(i1, v, "C3", (n,))
                             lo[i1] = l1 = v
                             cn = True
+                        # (t.hi - k) // 2 needs no max(., 0): the step from 2*d1 + k
+                        # left lo[it] >= k, and a store that would cross raises, so
+                        # hi[it] >= lo[it] >= k.
                         if ht is not None:
                             v = (ht - k) // 2
                             if h1 is None or v < h1:
@@ -489,7 +479,7 @@ class ConstraintSystem:
         It ends with no budget: a rule stores only a strictly tighter bound,
         and each bound changes finitely often.
           (a) An upper-bound candidate is built from upper bounds only (C3
-              from d0, d1 and the total, C4 and C5 from the other total) or
+              from the total, C4 and C5 from the other total) or
               from C1's constants, and a store that would put hi below lo >= 0
               raises, so each hi becomes finite at most once, then falls
               through nonnegative ints.

@@ -237,10 +237,17 @@ def test_catalog_flag_without_knot_is_refused_before_it_is_opened(capsys, tmp_pa
         code, out, err = run(capsys, "--format", fmt, "dims", "--genus", "2", "--n", "1",
                              "--catalog", missing)
         assert (code, out, err) == (2, "", "error: --catalog needs --knot; --genus reads no catalog\n")
+        # A torus knot reads no catalog either.
+        code, out, err = run(capsys, "--format", fmt, "dims", "--knot", "torus:2,3", "--n", "1",
+                             "--catalog", missing)
+        assert (code, out, err) == (2, "", "error: --catalog needs a catalog knot; torus:P,Q reads no catalog\n")
 
-    # The environment variable is a default, not a request: --genus ignores it.
+    # The environment variable is a default, not a request: --genus and a
+    # torus knot ignore it.
     monkeypatch.setenv(cli.CATALOG_ENV, missing)
     code, out, err = run(capsys, "dims", "--genus", "2", "--n", "1")
+    assert (code, out, err) == (0, "n=1  z2_d0=3  z2_d1=2  provenance=eq1\n", "")
+    code, out, err = run(capsys, "dims", "--knot", "torus:2,5", "--n", "1")
     assert (code, out, err) == (0, "n=1  z2_d0=3  z2_d1=2  provenance=eq1\n", "")
 
 
@@ -341,6 +348,28 @@ def test_oracle_drop_c6_exits_3(capsys, fmt):
     jsonschema.validate(record, SCHEMA)
     assert record["error"]["kind"] == "not-determined"
     assert any(s < 0 for s in record["error"]["undetermined_slopes"])
+
+
+def test_oracle_contradiction_exits_3_with_its_report(capsys, monkeypatch):
+    # No valid input meets a contradiction, so the solve is made to raise
+    # one after seeding C1, whose five trace entries a --trace report holds.
+    message = "C3: lower bound 1 exceeds upper bound 0 at slope 3 (grading 1)"
+
+    def contradict(system):
+        system._seed_base()
+        raise oracle.ContradictionError(message)
+
+    monkeypatch.setattr(oracle.ConstraintSystem, "solve", contradict)
+    argv = ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-3:3"]
+    for fmt in ("table", "tsv", "json"):
+        for trace in ((), ("--trace",)):
+            code, out, err = run(capsys, "--format", fmt, *argv, *trace)
+            assert (code, err) == (3, ""), (fmt, trace)
+            record = json.loads(out)
+            jsonschema.validate(record, SCHEMA)
+            assert record["error"] == {"kind": "contradiction", "message": message}
+            assert record["results"] == []
+            assert [e["constraint"] for e in record.get("trace", [])] == ["C1"] * 5 * len(trace)
 
 
 def test_oracle_exit3_lists_repeated_drop_once(capsys):

@@ -214,7 +214,9 @@ def _contradiction_messages(pins, rule):
 
 @pytest.mark.parametrize("d0, d1, total, message", [
     pytest.param(2, 0, 2, "lower bound 3 exceeds upper bound 2 at slope 3 (grading 0)", id="2-0-2"),
-    pytest.param(3, 0, 5, "upper bound 3 drops below lower bound 5 at slope 3 (grading 2)", id="3-0-5"),
+    # C3 gives the total no upper bound from d1 (module docstring), so the
+    # crossing shows at d1, from ceil((5 - 3) / 2).
+    pytest.param(3, 0, 5, "lower bound 1 exceeds upper bound 0 at slope 3 (grading 1)", id="3-0-5"),
     pytest.param(4, 1, 4, "lower bound 5 exceeds upper bound 4 at slope 3 (grading 2)", id="4-1-4"),
 ])
 def test_pinned_inconsistent_c3_slope_is_a_contradiction(d0, d1, total, message):
@@ -345,6 +347,27 @@ def test_lower_bounds_stay_under_the_ceiling(drop):
         _chaotic_fixpoint(system, random.Random(repr(drop)), under_the_ceiling)
 
 
+@pytest.mark.parametrize("drop", [()] + [(c,) for c in CONSTRAINT_IDS] + list(itertools.combinations(CONSTRAINT_IDS, 2)))
+def test_graded_upper_bounds_follow_the_total(drop):
+    # Why C3 takes upper bounds only from the total (module docstring): d0
+    # and d1 get upper bounds as a pair with d0 = d1 + |n|, every total upper
+    # bound has the parity of |n|, and d1.hi is half of a total hi that has
+    # only fallen since, so d1.hi + |n|, d0.hi - |n| and 2 * d1.hi + |n|
+    # are never tighter than the bound they would replace.
+    for g, m in ((1, 5), (2, 3), (3, 11)):
+        system = build_system(g, m, (-12, 12), drop=drop)
+
+        def paired_by_the_total():
+            for p, n in enumerate(range(system._lo, system._hi + 1)):
+                h0, h1, ht = system.hi[oracle.STRIDE * p:oracle.STRIDE * (p + 1)]
+                k = abs(n)
+                assert h0 == h1 is None or h0 == h1 + k, (g, m, n)
+                assert ht is None or ht % 2 == k % 2, (g, m, n)
+                assert h1 is None or (ht is not None and 2 * h1 + k >= ht), (g, m, n)
+
+        _chaotic_fixpoint(system, random.Random(repr(drop)), paired_by_the_total)
+
+
 @pytest.mark.parametrize("g", (1, 2, 3))
 def test_wide_range_solves_in_a_few_sweeps(g):
     expected = {n: dims_z2(g, n) for n in range(-2000, 2001)}
@@ -449,8 +472,8 @@ def _work(g, m, slope_range):
 
 # Without drops the work is affine in the range: each slope added below
 # lo <= -1 costs 16 applications (a visit in each of 4 sweeps) and 8 trace
-# entries, each added above hi >= m costs 8 and 6, and no solve takes more
-# than 4 sweeps.
+# entries, each added above hi >= m costs 8 and 6, and every solve takes 4
+# sweeps.  The whole law, constant term included, is the module docstring's.
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_work_is_affine_in_the_range(data):
@@ -459,11 +482,14 @@ def test_work_is_affine_in_the_range(data):
     lo = data.draw(st.integers(-60, -1), label="lo")
     hi = data.draw(st.integers(m, m + 60), label="hi")
     applications, trace_len, sweeps = _work(g, m, (lo, hi))
+    assert applications == 56 + 8 * g + 4 * m - 16 * lo + 8 * hi
+    assert trace_len == (35 + 6 * g + 6 * m - max(0, 2 * g + 1 - m) + 8 * (-1 - lo) + 6 * (hi - m)
+                         + (g == 1 and m <= 2))
     down = _work(g, m, (lo - 1, hi))
     up = _work(g, m, (lo, hi + 1))
     assert (down[0] - applications, down[1] - trace_len) == (16, 8)
     assert (up[0] - applications, up[1] - trace_len) == (8, 6)
-    assert max(sweeps, down[2], up[2]) <= 4
+    assert (sweeps, down[2], up[2]) == (4, 4, 4)
 
 
 # With one rule dropped the work is affine in the range too: (applications,
