@@ -13,7 +13,8 @@ rules:
   C5  adjunction vanishing: for n - 1 >= 2g - 1 the total at n equals the
       total at n - 1 plus 1
   C6  Stein fillings: at slope -n (n >= 1), at least (2g-1) + n in
-      grading 0 and 2g-1 in grading 1
+      grading 0: one contact class per Stein filling, all homogeneous in
+      one grading.  Grading 1's 2g-1 follows by C3 (d1 = d0 - n).
 
 Each slope carries three intervals: grading-0, grading-1, and the total
 dimension.  C4 and C5 touch totals only; C3 moves information between the
@@ -54,7 +55,7 @@ and a solve takes the sweeps shown:
   none      16, 8      8, 6            4
   C1        12, 5      8, 3            4
   C2, C4     9, 5      9, 5            3
-  C3         9, 3      6, 2 or 3       3
+  C3         9, 2      6, 2 or 3       3
   C5        12, 8      6, 6            4
   C6        12, 5      6, 6            4
 
@@ -424,11 +425,6 @@ class ConstraintSystem:
                                 check_lo(i0, v, "C6", ())
                             lo[i0] = l0 = v
                             cn = True
-                        if s > l1:
-                            if traced or h1 is not None and s > h1:
-                                check_lo(i1, s, "C6", ())
-                            lo[i1] = l1 = s
-                            cn = True
                 if cn or cu or cp:
                     tick += 1
                     if cn:
@@ -487,8 +483,8 @@ class ConstraintSystem:
               2s + |n|), s = 2g - 1: every rule maps bounds under B to
               candidates under B.  C3 is exact on B (B0 = B1 + |n|,
               Bt = B0 + B1); C4 and C5 move a total by +-1 to a neighbour,
-              whose |n| differs by 1; C6 proposes exactly B0 and B1; C1
-              pins m <= B, and C4's 1 - hu is at most 1.
+              whose |n| differs by 1; C6 proposes exactly B0; C1 pins
+              m <= B, and C4's 1 - hu is at most 1.
         Every sweep but the last stores a bound, so the loop ends, and
         NotDeterminedError always means a fixpoint.
 

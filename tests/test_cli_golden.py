@@ -65,7 +65,7 @@ GOLDEN = [
     ("planefield_c1sq", "table", 0, "caf60ba2da2a5131d3a3fb67027fdb5b3745004b17bd930a0accbd3af871c109"),
     ("planefield_c1sq", "tsv", 0, "c2d64165b8f77400e45589e41336018c0dab5d98262285d36970cd95f7ece824"),
     ("planefield_c1sq", "json", 0, "073d78f65a407530e3223c39351931d1b25b5d477e559d0bcfe0a1c9edef7450"),
-    ("oracle_trace", "table", 0, "4db147512dc46cc9b29828ead8a0eb2dfe56bfcb9251ffbb8899a9c3cd22708c"),
+    ("oracle_trace", "table", 0, "54cce155f6c878cdb1e635a3e3d9b4fcf21d5bfdfa3e2e90eea6ede1d21208a2"),
     ("oracle_exit3", "table", 3, "24cba4f377b7a8f026c61cf475eec8f404a2a1b9cd17b8c80e71620ebec198da"),
     ("oracle_exit3_repeat", "json", 3, "eb9443b3dbdc0c08ca6c889fd2e09548d0d22b387df1d479cff6884fb7d54d03"),
     ("usage", "table", 2, "b1dad6bd356d461c66a801ff07c233a80759009ebf3744c320681e77b72a71ef"),

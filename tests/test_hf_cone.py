@@ -15,8 +15,11 @@ total agrees the two gradings follow from the euler characteristic.
 """
 
 import json
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isurg import cli
 from isurg.knots import torus_knot
@@ -97,12 +100,19 @@ def _genus(a):
     return len(a) // 2
 
 
-@pytest.mark.parametrize("p, q", KNOTS)
-def test_cone_rank_is_the_instanton_total(p, q):
+def _disagreements(p, q, slopes):
+    """The n in slopes(g) where the cone rank of n-surgery on T(p, q) is not
+    the total of dims_z2(g, n); g is read off the polynomial and checked
+    against `torus_knot`."""
     a = alexander(p, q)
     g = _genus(a)
     assert g == torus_knot(p, q).genus
-    assert [n for n in range(-40, 61) if cone_rank(a, g, n) != dims_z2(g, n).total()] == []
+    return [n for n in slopes(g) if cone_rank(a, g, n) != dims_z2(g, n).total()]
+
+
+@pytest.mark.parametrize("p, q", KNOTS)
+def test_cone_rank_is_the_instanton_total(p, q):
+    assert _disagreements(p, q, lambda g: range(-40, 61)) == []
 
 
 @pytest.mark.parametrize("p, q", [(2, 3), (3, 4), (5, 6)])
@@ -112,3 +122,11 @@ def test_dims_of_a_torus_knot_matches_the_cone(capsys, p, q):
     rows = json.loads(capsys.readouterr().out)["results"]
     a = alexander(p, q)
     assert [(r["n"], sum(r["z2"])) for r in rows] == [(n, cone_rank(a, _genus(a), n)) for n in range(-8, 9)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_cone_rank_of_a_drawn_torus_knot(data):
+    q = data.draw(st.integers(3, 11), label="q")
+    p = data.draw(st.integers(2, q - 1).filter(lambda p: gcd(p, q) == 1), label="p")
+    assert _disagreements(p, q, lambda g: range(-(2 * g + 3), 2 * g + 4)) == []

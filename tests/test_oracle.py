@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from isurg import oracle
 from isurg.graded import GradedDimZ2
+from isurg.legendrian import LegendrianRep, distinct_chern_count
 from isurg.oracle import (
     CONSTRAINT_IDS,
     ContradictionError,
@@ -16,6 +17,7 @@ from isurg.oracle import (
     solve,
     solve_trefoil_family,
 )
+from isurg.planefield import FillingData, contact_grading
 from isurg.surgery import dims_z2, trefoil_one_over_n
 
 
@@ -333,18 +335,68 @@ def _ceiling(g, n):
     return (s + abs(n), s, 2 * s + abs(n))
 
 
-@pytest.mark.parametrize("drop", [(c,) for c in CONSTRAINT_IDS] + list(itertools.combinations(CONSTRAINT_IDS, 2)))
+@pytest.mark.parametrize("drop", [(c,) for c in CONSTRAINT_IDS] + list(itertools.combinations(CONSTRAINT_IDS, 2)) + [()])
 def test_lower_bounds_stay_under_the_ceiling(drop):
     # Part (b) of the termination argument: from bounds at 0, every rule in
-    # any order keeps each lower bound under B(n), whatever is dropped.
+    # any order keeps each lower bound under B(n), whatever is dropped.  No
+    # step removes the closed-form answer either: d0, d1 and the total of
+    # `dims_z2` stay inside [lo, hi] at every padded slope.  Every such total
+    # is at least 1, so C4's anchor legs 1 - hu and 1 - ht never store.
     for g, m in ((1, 5), (2, 3), (3, 11)):
         system = build_system(g, m, (-12, 12), drop=drop)
-        ceiling = [b for n in range(system._lo, system._hi + 1) for b in _ceiling(g, n)]
+        slopes = range(system._lo, system._hi + 1)
+        ceiling = [b for n in slopes for b in _ceiling(g, n)]
+        truth = [v for n in slopes for v in (*dims_z2(g, n), dims_z2(g, n).total())]
 
-        def under_the_ceiling():
+        def under_the_ceiling_and_sound():
             assert all(lo <= b for lo, b in zip(system.lo, ceiling)), (g, m)
+            assert all(lo <= v and (hi is None or v <= hi)
+                       for lo, hi, v in zip(system.lo, system.hi, truth)), (g, m)
 
-        _chaotic_fixpoint(system, random.Random(repr(drop)), under_the_ceiling)
+        _chaotic_fixpoint(system, random.Random(repr(drop)), under_the_ceiling_and_sound)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_closed_forms_satisfy_the_rules(g):
+    # C1-C6 as relations on (d0, d1, total) at each slope, checked on
+    # `dims_z2` with no solver involved.
+    s = 2 * g - 1
+    dims = {n: dims_z2(g, n) for n in range(-34, 35)}
+    total = {n: d.total() for n, d in dims.items()}
+    violations = [("C1", m) for m in range(s, s + 10) if dims_z2(g, m) != GradedDimZ2(m, 0)]
+    for n in range(-33, 34):
+        d0, d1 = dims[n]
+        if not (d0 - d1 == abs(n) and total[n] == d0 + d1):
+            violations.append(("C3", n))
+        if not abs(total[n] - total[n + 1]) <= 1 <= total[n] + total[n + 1]:
+            violations.append(("C4", n))
+        if n > s and total[n] != total[n - 1] + 1:
+            violations.append(("C5", n))
+        if n < 0 and d0 < s - n:
+            violations.append(("C6", n))
+    assert violations == []
+
+
+def test_c6_is_the_stein_count_in_grading_0():
+    # At slope -n, C6 stores s - n (s = 2g - 1): the Stein structures with
+    # distinct Chern classes on the trace of Legendrian surgery on a
+    # tb = 2g - 1 representative stabilized to tb = 1 - n.  Their contact
+    # classes sit in the grading of that trace, chi 2, sigma -1 and b1 0.
+    for g in range(1, 30):
+        s = 2 * g - 1
+        assert [distinct_chern_count(LegendrianRep(s, 0), 1 - n) for n in range(1, 200)] == \
+            [s + n for n in range(1, 200)], g
+    assert contact_grading(FillingData(2, -1, 0)) == 0
+    # So C6 writes grading 0 only, exactly B0; C3 carries grading 1.
+    for g in (1, 2, 3):
+        for m in (2 * g - 1, 2 * g + 5):
+            for k in (0, 1, 2):
+                for drop in itertools.combinations(CONSTRAINT_IDS, k):
+                    system = build_system(g, m, (-12, 12), drop=drop, trace=True)
+                    _outcome(system)
+                    c6 = [e for e in system.trace if e.constraint == "C6"]
+                    assert all(e.grading == 0 and e.value == _ceiling(g, e.slope)[0] for e in c6), (g, m, drop)
+                    assert bool(c6) == ("C6" not in drop), (g, m, drop)
 
 
 @pytest.mark.parametrize("drop", [()] + [(c,) for c in CONSTRAINT_IDS] + list(itertools.combinations(CONSTRAINT_IDS, 2)))
@@ -498,7 +550,7 @@ def test_work_is_affine_in_the_range(data):
 DROP_LAW = {
     "C1": ((12, 5), (8, 3), 4),
     "C2": ((9, 5), (9, 5), 3),
-    "C3": ((9, 3), (6, None), 3),
+    "C3": ((9, 2), (6, None), 3),
     "C4": ((9, 5), (9, 5), 3),
     "C5": ((12, 8), (6, 6), 4),
     "C6": ((12, 5), (6, 6), 4),
@@ -534,11 +586,11 @@ WORK = [
     (1, 5, (-10, 10), (), (324, 4, 173)),
     (1, 5, (-10, 10), ('C1',), (264, 4, 97)),
     (1, 5, (-10, 10), ('C2',), (225, 3, 120)),
-    (1, 7, (-30, 30), ('C3',), (507, 3, 176)),
+    (1, 7, (-30, 30), ('C3',), (507, 3, 144)),
     (2, 5, (-20, 20), ('C4',), (399, 3, 214)),
     (1, 5, (-10, 10), ('C5',), (252, 4, 171)),
     (2, 5, (-20, 20), ('C6',), (429, 4, 244)),
-    (2, 7, (-25, 25), ('C3', 'C5'), (286, 3, 125)),
+    (2, 7, (-25, 25), ('C3', 'C5'), (286, 3, 98)),
     (3, 8, (-25, 25), ('C4', 'C6'), (266, 3, 177)),
     (2, 3, (4, 40), (), (404, 4, 277)),
     (3, 11, (-300, 300), (), (7324, 4, 4245)),

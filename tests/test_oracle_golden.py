@@ -16,18 +16,18 @@ import pytest
 from isurg import cli
 
 GOLDEN = [
-    (1, 5, "-10:10", (), 0, "ba2c5a1979e120ab65d2ebb33c86c8db81dc9bdf851deca4ea55a6580db2690f"),
-    (1, 1, "-30:7", (), 0, "94be369f5bc5645847e2cc30185abd2195cd31434442a77c2b7bc3d07ed1c30b"),
-    (2, 3, "-6:20", (), 0, "90998025c75c1d38f0b8200181b6b13d5f42a0c96795c2a3bd8dfec2e5209b0f"),
-    (2, 7, "-25:25", (), 0, "c79f24974ddfe93228afb3ef3ed36852f07d22eb59a0193d50ec510c9d9daba7"),
-    (2, 9, "-300:300", (), 0, "45999fd175eddc11da6d25aa945b61a30014ceb0b4a88f871121083ccfc3dfcb"),
-    (3, 5, "0:12", (), 0, "e338ba9ebf280f72b0d75fd2daf7e76038affcecb19af7f8c29e055d47abca59"),
-    (3, 11, "-40:3", (), 0, "f99d92944f16ad4eab1138649f806f7e5e63ffd2eda5752d59ff2aeac2a0fd27"),
-    (1, 5, "-10:10", ("C5",), 3, "c767e407cb7a303dcccde597323c611d996296eace6ef65aacf61bdba94da7fa"),
-    (1, 5, "-10:10", ("C1",), 3, "b0a75b2937a1b3da02d83165dcd8048af044fe96e1ef8bae41c2d9f9d66d91ab"),
-    (1, 5, "-10:10", ("C2",), 3, "4332e270f54525e24b35883bb86d97b883a60abf5bfb650b416ebbe211967a0f"),
-    (1, 7, "-30:30", ("C3",), 3, "02abf7885d0e1a895a10b83e84ed2b0b35ef548dd96ad61762ccf50aecf63fee"),
-    (2, 5, "-20:20", ("C4",), 3, "bce8f183eecaa06fa8d968c59f05b54eabcdc11dafe63819812ef7a67c584517"),
+    (1, 5, "-10:10", (), 0, "dc28117cc7782b5edc037ac9bbe5605e7bbaeaa0d39589113bd6c31df7e9b05e"),
+    (1, 1, "-30:7", (), 0, "3e0aa25965830474fb75929b3a5383decc769e81ca4f2518d6a09503856b7e5d"),
+    (2, 3, "-6:20", (), 0, "0673ae7a9280f4836600fe35fb29cdfdb3cdc552cef754dc5dfb2c4ae20a3b9f"),
+    (2, 7, "-25:25", (), 0, "ab2c4ddbba74ee391286cb2459ff09300a22ab3c8c53953322c4ed087dee5817"),
+    (2, 9, "-300:300", (), 0, "cc5815d99fb1ae6f077e3f94812b6ca867d490856507b02d727573405acdd4c2"),
+    (3, 5, "0:12", (), 0, "be3fd250d043980cd7d16404b72ff6150ab7cf12c61b353102fa63c583b74760"),
+    (3, 11, "-40:3", (), 0, "e5ee3b9775c4e5ea75892be19c997e1b4ec9c876fbe5ef87e17c326dd61749c9"),
+    (1, 5, "-10:10", ("C5",), 3, "097645811e957a2d6ef35ef9bc82430330faf4cf974dbe3c4758b50a760bb47f"),
+    (1, 5, "-10:10", ("C1",), 3, "e5cd7cad65ce598b3e5ad285b4fdbba559ceff4bfdcf7c1d27890f9fec4a5c6b"),
+    (1, 5, "-10:10", ("C2",), 3, "68148fb25a17e1aba93c049876a47ca4f9d0f5125191d4450a21177586ef45ee"),
+    (1, 7, "-30:30", ("C3",), 3, "fe0006a15b0c0bc041def177e3ff93e8c85b3061add9a124324ca5fc04355f85"),
+    (2, 5, "-20:20", ("C4",), 3, "c673c0576f14d5a8b3b15119d8b9a9bd3ab6bfa892068cdf0c6bee1bd5fa1888"),
     (2, 5, "-20:20", ("C6",), 3, "c3e1f42048e893730b814b41be61712b7ad9843a0817daf63f3c0cd4728bdff3"),
 ]
 
