@@ -5,11 +5,11 @@ bounds [lo, hi] on the graded dimensions at every surgery slope and
 propagates constraints to a fixpoint.  C1 and C2 are data; C3-C6 are the
 rules:
 
-  C1  base: at the L-space slope m the dimensions are (m, 0)
+  C1  base: the L-space slope m has total dimension m; C3 splits it (m, 0)
   C2  anchor: the unsurgered manifold contributes total dimension 1
   C3  euler characteristic: d0 - d1 = |n| at slope n
   C4  triangle: each of the totals at (infinity, n, n+1) is at most the
-      sum of the other two
+      sum of the other two; the anchor's own leg is left out (see below)
   C5  adjunction vanishing: for n - 1 >= 2g - 1 the total at n equals the
       total at n - 1 plus 1
   C6  Stein fillings: at slope -n (n >= 1), at least (2g-1) + n in
@@ -23,7 +23,7 @@ determine both gradings).  When every interval collapses the result
 reproduces the closed-form answer; open intervals or crossed bounds are
 reported, never guessed.
 
-C1 is the starting state: `solve` pins the base slope before the first
+C1 is the starting state: `solve` pins the base total before the first
 sweep, and every other bound starts at [0, infinity).  C2 is the constant
 anchor in C4's sums.  Without C2 the anchor total is only known to lie in
 [0, infinity), and then no triangle sum of C4 bounds anything, so dropping
@@ -89,10 +89,9 @@ checks are skipped where no candidate can be tighter than its bound:
      the rule's seven candidates (d1 + |n|, d0 - |n| and 2*d1 + |n| at lo,
      and the halves (t -+ |n|) / 2 at lo and at hi) equals the a, b or t it
      is compared with.
-  C4 at (n, n+1), when both totals are pinned at t and u with |t - u| <= 1
-     and t + u >= 1, the anchor total.  Then the upper candidate u + 1 is
-     at least t, and the lower ones 1 - u and u - 1 are at most t; the
-     same holds with t and u swapped.
+  C4 at (n, n+1), when both totals are pinned at t and u with |t - u| <= 1.
+     Then the upper candidate u + 1 is at least t, and the lower one u - 1
+     is at most t; the same holds with t and u swapped.
 
 So a skipped check would change no bound, add no trace entry and move no
 tick; it still counts as an application.  Any other state runs the full
@@ -102,11 +101,19 @@ ContradictionError.
 C3's upper bounds come only from the total's, as (t.hi -+ |n|) / 2: no
 state a solve reaches lets d1.hi + |n|, d0.hi - |n| or 2*d1.hi + |n|
 tighten anything, and a reduction that narrows no reachable state leaves
-the fixpoint unchanged (Apt).  Only C1 and those two halves write d0.hi
-and d1.hi, always as a pair with d0.hi = d1.hi + |n|.  Only C1, C4 and C5
+the fixpoint unchanged (Apt).  Only those two halves write d0.hi and
+d1.hi, always as a pair with d0.hi = d1.hi + |n|.  Only C1, C4 and C5
 write a total's hi, each with the parity of |n| (C4 and C5 step by 1 to a
 neighbour), so the halves are exact and store both or neither.  So a
 stored d1.hi is (t.hi - |n|) / 2, and t.hi only falls after that.
+
+C4 states only its two difference legs, between the totals at n and n+1;
+its anchor leg, t.lo <- 1 - u.hi for a neighbour's total u, would never
+tighten a reachable state either.  Every finite total upper bound starts
+at C1's m >= 2g - 1 = s, then moves only by C4 (+1 to a neighbour) and C5
+(+1 upward, or -1 downward onto a slope >= s), and C3 never writes one.
+Along any chain of such steps hi >= x at a slope x >= s, and hi >= 2s - x
+>= 2 below s.  So 1 - u.hi <= 0 <= t.lo.
 
 A solve has no work budget; `solve` shows that it ends.  Only the width
 of the padded slope range is limited, by MAX_APPLICATIONS (from R = 124,998
@@ -216,7 +223,7 @@ class ConstraintSystem:
     # A rule stores a strictly tighter bound into `lo`/`hi` itself, and its
     # visit stamps the slope in `_changed_at` when it ends.  Before storing,
     # the rule calls one of these when the solve is traced or the new bound
-    # crosses the opposite one, and the C1 seed calls them for each of its
+    # crosses the opposite one, and the C1 seed calls them for both of its
     # bounds; they are the only code that appends a TraceEntry or raises
     # ContradictionError.  Each takes a flat index into `lo`/`hi`, whose
     # entries are current at every call.  A lower bound is never negative,
@@ -345,7 +352,7 @@ class ConstraintSystem:
                     if n < top:
                         iu = it + STRIDE
                         lu, hu = lo[iu], hi[iu]
-                        if not (ht == lt and hu == lu and -s3 <= lt - lu <= s3 and lt + lu >= s3):
+                        if not (ht == lt and hu == lu and -s3 <= lt - lu <= s3):
                             # The total at n from the total at n+1 ...
                             if hu is not None:
                                 v = hu + s3
@@ -353,12 +360,6 @@ class ConstraintSystem:
                                     if traced or v < lt:
                                         check_hi(it, v, "C4", (n + 1, "inf"))
                                     hi[it] = ht = v
-                                    cn = True
-                                v = s3 - hu
-                                if v > lt:
-                                    if traced or (ht is not None and v > ht):
-                                        check_lo(it, v, "C4", (n + 1, "inf"))
-                                    lo[it] = lt = v
                                     cn = True
                             v = lu - s3
                             if v > lt:
@@ -373,12 +374,6 @@ class ConstraintSystem:
                                     if traced or v < lu:
                                         check_hi(iu, v, "C4", (n, "inf"))
                                     hi[iu] = hu = v
-                                    cu = True
-                                v = s3 - ht
-                                if v > lu:
-                                    if traced or (hu is not None and v > hu):
-                                        check_lo(iu, v, "C4", (n, "inf"))
-                                    lo[iu] = lu = v
                                     cu = True
                             v = lt - s3
                             if v > lu:
@@ -446,20 +441,17 @@ class ConstraintSystem:
         return tuple(cname not in dropped for cname in ("C3", "C4", "C5", "C6"))
 
     def _seed_base(self):
-        """C1, unless dropped: pin d0 = total = m and d1 = 0 at the L-space
-        slope m.  `solve` runs it once, before the first sweep; it moves no
-        tick and stamps no slope (see the module docstring)."""
+        """C1, unless dropped: pin the total at the L-space slope m to m; from
+        [0, infinity) and m >= 1 both stores tighten and neither crosses.
+        `solve` runs it once, before the first sweep; it moves no tick and
+        stamps no slope (see the module docstring)."""
         if "C1" in self.dropped:
             return
         m = self.lspace_slope
-        i = STRIDE * (m - self._lo)
-        for j, v in ((i, m), (i + 1, 0), (i + TOTAL, m)):
-            if v > self.lo[j]:
-                self._check_lo(j, v, "C1", ())
-                self.lo[j] = v
-            if self.hi[j] is None or v < self.hi[j]:
-                self._check_hi(j, v, "C1", ())
-                self.hi[j] = v
+        i = STRIDE * (m - self._lo) + TOTAL
+        self._check_lo(i, m, "C1", ())
+        self._check_hi(i, m, "C1", ())
+        self.lo[i] = self.hi[i] = m
 
     def solve(self) -> dict:
         """Propagate to a fixpoint; returns {slope: GradedDimZ2} over the
@@ -476,7 +468,7 @@ class ConstraintSystem:
         and each bound changes finitely often.
           (a) An upper-bound candidate is built from upper bounds only (C3
               from the total, C4 and C5 from the other total) or
-              from C1's constants, and a store that would put hi below lo >= 0
+              from C1's constant, and a store that would put hi below lo >= 0
               raises, so each hi becomes finite at most once, then falls
               through nonnegative ints.
           (b) Lower bounds start at 0 and never pass B(n) = (s + |n|, s,
@@ -484,7 +476,7 @@ class ConstraintSystem:
               candidates under B.  C3 is exact on B (B0 = B1 + |n|,
               Bt = B0 + B1); C4 and C5 move a total by +-1 to a neighbour,
               whose |n| differs by 1; C6 proposes exactly B0; C1 pins
-              m <= B, and C4's 1 - hu is at most 1.
+              the total m <= Bt.
         Every sweep but the last stores a bound, so the loop ends, and
         NotDeterminedError always means a fixpoint.
 

@@ -352,7 +352,7 @@ def test_oracle_drop_c6_exits_3(capsys, fmt):
 
 def test_oracle_contradiction_exits_3_with_its_report(capsys, monkeypatch):
     # No valid input meets a contradiction, so the solve is made to raise
-    # one after seeding C1, whose five trace entries a --trace report holds.
+    # one after seeding C1, whose two trace entries a --trace report holds.
     message = "C3: lower bound 1 exceeds upper bound 0 at slope 3 (grading 1)"
 
     def contradict(system):
@@ -369,7 +369,18 @@ def test_oracle_contradiction_exits_3_with_its_report(capsys, monkeypatch):
             jsonschema.validate(record, SCHEMA)
             assert record["error"] == {"kind": "contradiction", "message": message}
             assert record["results"] == []
-            assert [e["constraint"] for e in record.get("trace", [])] == ["C1"] * 5 * len(trace)
+            assert [e["constraint"] for e in record.get("trace", [])] == ["C1"] * 2 * len(trace)
+
+
+def test_oracle_without_c3_leaves_the_base_slope_open(capsys):
+    # C1 pins only the total at the L-space slope; its split (5, 0) is C3's.
+    argv = ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "5:5"]
+    code, out, err = run(capsys, *argv, "--drop-constraint", "C3")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["undetermined_slopes"] == [5]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "agrees=true" in out
 
 
 def test_oracle_exit3_lists_repeated_drop_once(capsys):

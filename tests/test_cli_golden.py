@@ -65,14 +65,16 @@ GOLDEN = [
     ("planefield_c1sq", "table", 0, "caf60ba2da2a5131d3a3fb67027fdb5b3745004b17bd930a0accbd3af871c109"),
     ("planefield_c1sq", "tsv", 0, "c2d64165b8f77400e45589e41336018c0dab5d98262285d36970cd95f7ece824"),
     ("planefield_c1sq", "json", 0, "073d78f65a407530e3223c39351931d1b25b5d477e559d0bcfe0a1c9edef7450"),
-    ("oracle_trace", "table", 0, "54cce155f6c878cdb1e635a3e3d9b4fcf21d5bfdfa3e2e90eea6ede1d21208a2"),
-    ("oracle_exit3", "table", 3, "24cba4f377b7a8f026c61cf475eec8f404a2a1b9cd17b8c80e71620ebec198da"),
+    ("oracle_trace", "table", 0, "61db522ae2eaed27b691d0779d4a41acc6e708c55a2c595974aa702fe1851e71"),
+    ("oracle_exit3", "table", 3, "64d65c6fc29408ef455e2770c43ebe22c569f3bfd5d6cec79ce7c84c02d0f7e3"),
     ("oracle_exit3_repeat", "json", 3, "eb9443b3dbdc0c08ca6c889fd2e09548d0d22b387df1d479cff6884fb7d54d03"),
     ("usage", "table", 2, "b1dad6bd356d461c66a801ff07c233a80759009ebf3744c320681e77b72a71ef"),
 ]
 
 
-@pytest.mark.parametrize("case, fmt, code, digest", GOLDEN)
+# Ids name the case and format, not the digest, so a re-pin keeps them.
+@pytest.mark.parametrize("case, fmt, code, digest", GOLDEN,
+                         ids=[f"{case}-{fmt}" for case, fmt, _, _ in GOLDEN])
 def test_cli_output_is_pinned(capsys, tmp_path, case, fmt, code, digest):
     catalog = tmp_path / "catalog.json"
     catalog.write_text(json.dumps(CATALOG))

@@ -59,11 +59,13 @@ def test_precondition_checks():
 
 # Open slopes of g=1, m=5, range -10:10 with one constraint dropped.  Without
 # the anchor total of S^3 (C2) the triangle sums of C4 bound nothing, so
-# dropping either leaves the same slopes open.
+# dropping either leaves the same slopes open.  C1 pins only the total at
+# slope 5, and only the euler relation (C3) splits a total into gradings, so
+# without C3 every slope is open, the base slope too.
 OPEN_WITHOUT = {
     "C1": list(range(-10, 11)),
     "C2": list(range(-10, 1)),
-    "C3": [n for n in range(-10, 11) if n != 5],
+    "C3": list(range(-10, 11)),
     "C4": list(range(-10, 1)),
     "C5": list(range(-10, 5)),
     "C6": list(range(-10, 1)),
@@ -116,9 +118,8 @@ def test_explain():
     def at(slope):
         return [e for e in system.trace if e.slope == slope]
 
-    base_entries = at(5)
-    assert base_entries
-    assert {e.constraint for e in base_entries} == {"C1"}
+    # C1 pins the total at the base slope; C3 splits it into (5, 0).
+    assert {(e.constraint, e.grading) for e in at(5)} == {("C1", 2), ("C3", 0), ("C3", 1)}
     up = {e.constraint for e in at(6)}
     assert up & {"C4", "C5"}
     assert "C3" in up
@@ -129,19 +130,18 @@ def test_explain():
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_c1_is_the_starting_state(g):
-    # The seed pins the base slope before the first sweep, moves no tick and
-    # stamps no slope; a solve's trace starts with its five entries, and no
-    # rule names C1 later.
+    # The seed pins the total at the base slope before the first sweep, moves
+    # no tick and stamps no slope; a solve's trace starts with its two
+    # entries, and no rule names C1 later.
     for m in range(2 * g - 1, 2 * g + 31):
-        base = [("C1", m, 0, "lo", m, ()), ("C1", m, 0, "hi", m, ()), ("C1", m, 1, "hi", 0, ()),
-                ("C1", m, 2, "lo", m, ()), ("C1", m, 2, "hi", m, ())]
+        base = [("C1", m, 2, "lo", m, ()), ("C1", m, 2, "hi", m, ())]
         seeded = build_system(g, m, (-3, 3), trace=True)
         seeded._seed_base()
         assert (seeded.trace, seeded._tick, any(seeded._changed_at)) == (base, 0, False), m
         solved = build_system(g, m, (-3, 3), trace=True)
         solved.solve()
-        assert solved.trace[:5] == base, m
-        assert all(e.constraint != "C1" for e in solved.trace[5:]), m
+        assert solved.trace[:2] == base, m
+        assert all(e.constraint != "C1" for e in solved.trace[2:]), m
         dropped = build_system(g, m, (-3, 3), drop=("C1",), trace=True)
         _outcome(dropped)
         assert all(e.constraint != "C1" for e in dropped.trace), m
@@ -231,10 +231,11 @@ def test_pinned_inconsistent_c3_slope_is_a_contradiction(d0, d1, total, message)
 @pytest.mark.parametrize("t3, t4, message", [
     pytest.param(5, 7, "lower bound 6 exceeds upper bound 5 at slope 3 (grading 2)", id="5-7"),
     pytest.param(7, 5, "upper bound 6 drops below lower bound 7 at slope 3 (grading 2)", id="7-5"),
-    pytest.param(0, 0, "lower bound 1 exceeds upper bound 0 at slope 3 (grading 2)", id="0-0"),
 ])
 def test_pinned_inconsistent_c4_pair_is_a_contradiction(t3, t4, message):
-    # The triangle with the anchor total 1 wants |t3 - t4| <= 1 <= t3 + t4.
+    # The triangle with the anchor total 1 wants |t3 - t4| <= 1; C4 leaves
+    # out 1 <= t3 + t4, which never tightens a reachable state (module
+    # docstring).
     pins = [(3, oracle.TOTAL, t3), (4, oracle.TOTAL, t4)]
     alone_untraced, alone_traced, fused_untraced, fused_traced = _contradiction_messages(pins, "C4")
     assert [alone_untraced, alone_traced] == [f"C4: {message}"] * 2
@@ -340,8 +341,7 @@ def test_lower_bounds_stay_under_the_ceiling(drop):
     # Part (b) of the termination argument: from bounds at 0, every rule in
     # any order keeps each lower bound under B(n), whatever is dropped.  No
     # step removes the closed-form answer either: d0, d1 and the total of
-    # `dims_z2` stay inside [lo, hi] at every padded slope.  Every such total
-    # is at least 1, so C4's anchor legs 1 - hu and 1 - ht never store.
+    # `dims_z2` stay inside [lo, hi] at every padded slope.
     for g, m in ((1, 5), (2, 3), (3, 11)):
         system = build_system(g, m, (-12, 12), drop=drop)
         slopes = range(system._lo, system._hi + 1)
@@ -363,7 +363,7 @@ def test_closed_forms_satisfy_the_rules(g):
     s = 2 * g - 1
     dims = {n: dims_z2(g, n) for n in range(-34, 35)}
     total = {n: d.total() for n, d in dims.items()}
-    violations = [("C1", m) for m in range(s, s + 10) if dims_z2(g, m) != GradedDimZ2(m, 0)]
+    violations = [("C1", m) for m in range(s, s + 10) if total[m] != m]
     for n in range(-33, 34):
         d0, d1 = dims[n]
         if not (d0 - d1 == abs(n) and total[n] == d0 + d1):
@@ -405,7 +405,9 @@ def test_graded_upper_bounds_follow_the_total(drop):
     # and d1 get upper bounds as a pair with d0 = d1 + |n|, every total upper
     # bound has the parity of |n|, and d1.hi is half of a total hi that has
     # only fallen since, so d1.hi + |n|, d0.hi - |n| and 2 * d1.hi + |n|
-    # are never tighter than the bound they would replace.
+    # are never tighter than the bound they would replace.  Every total upper
+    # bound is at least 1 too, so C4's left-out anchor legs 1 - t.hi would
+    # never raise a lower bound above 0.
     for g, m in ((1, 5), (2, 3), (3, 11)):
         system = build_system(g, m, (-12, 12), drop=drop)
 
@@ -416,6 +418,7 @@ def test_graded_upper_bounds_follow_the_total(drop):
                 assert h0 == h1 is None or h0 == h1 + k, (g, m, n)
                 assert ht is None or ht % 2 == k % 2, (g, m, n)
                 assert h1 is None or (ht is not None and 2 * h1 + k >= ht), (g, m, n)
+                assert ht is None or ht >= 1, (g, m, n)
 
         _chaotic_fixpoint(system, random.Random(repr(drop)), paired_by_the_total)
 
@@ -586,11 +589,11 @@ WORK = [
     (1, 5, (-10, 10), (), (324, 4, 173)),
     (1, 5, (-10, 10), ('C1',), (264, 4, 97)),
     (1, 5, (-10, 10), ('C2',), (225, 3, 120)),
-    (1, 7, (-30, 30), ('C3',), (507, 3, 144)),
+    (1, 7, (-30, 30), ('C3',), (507, 3, 141)),
     (2, 5, (-20, 20), ('C4',), (399, 3, 214)),
     (1, 5, (-10, 10), ('C5',), (252, 4, 171)),
     (2, 5, (-20, 20), ('C6',), (429, 4, 244)),
-    (2, 7, (-25, 25), ('C3', 'C5'), (286, 3, 98)),
+    (2, 7, (-25, 25), ('C3', 'C5'), (286, 3, 95)),
     (3, 8, (-25, 25), ('C4', 'C6'), (266, 3, 177)),
     (2, 3, (4, 40), (), (404, 4, 277)),
     (3, 11, (-300, 300), (), (7324, 4, 4245)),
@@ -671,6 +674,6 @@ def test_the_surface_the_benchmark_reads():
     assert system.dropped == {"C6"}
     assert 0 < system.applications <= oracle.MAX_APPLICATIONS
     assert list(system.trace[0].to_dict().items()) == [
-        ("constraint", "C1"), ("slope", 7), ("grading", 0), ("bound", "lo"), ("value", 7), ("consumed", []),
+        ("constraint", "C1"), ("slope", 7), ("grading", 2), ("bound", "lo"), ("value", 7), ("consumed", []),
     ]
     assert oracle.build_system(2, 7, (-6, 6)).solve() == {n: dims_z2(2, n) for n in range(-6, 7)}

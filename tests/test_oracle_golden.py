@@ -16,23 +16,25 @@ import pytest
 from isurg import cli
 
 GOLDEN = [
-    (1, 5, "-10:10", (), 0, "dc28117cc7782b5edc037ac9bbe5605e7bbaeaa0d39589113bd6c31df7e9b05e"),
-    (1, 1, "-30:7", (), 0, "3e0aa25965830474fb75929b3a5383decc769e81ca4f2518d6a09503856b7e5d"),
-    (2, 3, "-6:20", (), 0, "0673ae7a9280f4836600fe35fb29cdfdb3cdc552cef754dc5dfb2c4ae20a3b9f"),
-    (2, 7, "-25:25", (), 0, "ab2c4ddbba74ee391286cb2459ff09300a22ab3c8c53953322c4ed087dee5817"),
-    (2, 9, "-300:300", (), 0, "cc5815d99fb1ae6f077e3f94812b6ca867d490856507b02d727573405acdd4c2"),
-    (3, 5, "0:12", (), 0, "be3fd250d043980cd7d16404b72ff6150ab7cf12c61b353102fa63c583b74760"),
-    (3, 11, "-40:3", (), 0, "e5ee3b9775c4e5ea75892be19c997e1b4ec9c876fbe5ef87e17c326dd61749c9"),
-    (1, 5, "-10:10", ("C5",), 3, "097645811e957a2d6ef35ef9bc82430330faf4cf974dbe3c4758b50a760bb47f"),
+    (1, 5, "-10:10", (), 0, "cae1e6a9ed94c8615b5f30fbc1984ab5ed6d4f277883dcf8aa7a2e08870173a6"),
+    (1, 1, "-30:7", (), 0, "267fd5292e9c88df07ec0e44d6d60230ee6027d6c8a5e7ad8d9bf09d8aba680c"),
+    (2, 3, "-6:20", (), 0, "9420171ae827e1adacac4906712176c818bff20fb9498fe342d74617c9589c8f"),
+    (2, 7, "-25:25", (), 0, "3c239c7a7665c86785294cbaf95cf538a0ae28e390fc6b5828d3dd4207afd8f5"),
+    (2, 9, "-300:300", (), 0, "564e2f3c39b86001bfb77f4ff7ef646aa530020a20df0c175b6219d0500c9cab"),
+    (3, 5, "0:12", (), 0, "90d1715b96a7721fa94c04ee3183cb6ca98a31214acff427d79b6964be68c955"),
+    (3, 11, "-40:3", (), 0, "b28bd46bf4db69bd6031cca47ed4019b95ef4f95e85926dc9fcde53c9538f955"),
+    (1, 5, "-10:10", ("C5",), 3, "0f1633d1c589e1e7087516a40fa2af000d595827f16142c8740092de2a1401c6"),
     (1, 5, "-10:10", ("C1",), 3, "e5cd7cad65ce598b3e5ad285b4fdbba559ceff4bfdcf7c1d27890f9fec4a5c6b"),
-    (1, 5, "-10:10", ("C2",), 3, "68148fb25a17e1aba93c049876a47ca4f9d0f5125191d4450a21177586ef45ee"),
-    (1, 7, "-30:30", ("C3",), 3, "fe0006a15b0c0bc041def177e3ff93e8c85b3061add9a124324ca5fc04355f85"),
-    (2, 5, "-20:20", ("C4",), 3, "c673c0576f14d5a8b3b15119d8b9a9bd3ab6bfa892068cdf0c6bee1bd5fa1888"),
-    (2, 5, "-20:20", ("C6",), 3, "c3e1f42048e893730b814b41be61712b7ad9843a0817daf63f3c0cd4728bdff3"),
+    (1, 5, "-10:10", ("C2",), 3, "6218e7f252d01f7da82147332b13f18253a193718c914e17e457661087854c2d"),
+    (1, 7, "-30:30", ("C3",), 3, "876e838d79450def788ebfd693a04c21eb32a0c29341091efc4be9f8ec00e23f"),
+    (2, 5, "-20:20", ("C4",), 3, "29c8dc6a7c8604a525b2355aa05443dba630b3337b2b5b734a8b39651c8472a1"),
+    (2, 5, "-20:20", ("C6",), 3, "37e864ea9eee0cb353ebbade7b35efdb0a19ebc8220637483935ff1979162917"),
 ]
 
 
-@pytest.mark.parametrize("g, m, slope_range, drop, code, digest", GOLDEN)
+# Ids name the request (g-m-range-drops), not the digest, so a re-pin keeps them.
+@pytest.mark.parametrize("g, m, slope_range, drop, code, digest", GOLDEN,
+                         ids=[f"{g}-{m}-{r}-{'-'.join(d) or 'none'}" for g, m, r, d, _, _ in GOLDEN])
 def test_oracle_trace_output_is_pinned(capsys, g, m, slope_range, drop, code, digest):
     argv = ["--format", "json", "oracle", "--genus", str(g), "--lspace-slope", str(m),
             "--range", slope_range, "--trace"]
