@@ -68,9 +68,9 @@ body (`_apply`) that states each rule once.  Most candidate bounds a rule
 computes are no tighter than the bound already there (about four in five
 over a typical solve), so only a strictly tighter one is stored.  The
 visit holds the bounds it works on in locals, and the rule stores a new
-bound into `lo`/`hi` and the local alike; it calls `_check_lo`/`_check_hi`,
-which append the trace entry or raise, only in a traced solve or for a
-bound that crosses the opposite one.  The tightenings and their order are
+bound into `lo`/`hi` and the local alike; it calls `_check`, which appends
+the trace entry or raises, only in a traced solve or for a bound that
+crosses the opposite one.  The tightenings and their order are
 the same either way.
 
 A visit stamps the slopes it changed (n, n+1 through C4, n-1 through C5)
@@ -222,38 +222,24 @@ class ConstraintSystem:
     #
     # A rule stores a strictly tighter bound into `lo`/`hi` itself, and its
     # visit stamps the slope in `_changed_at` when it ends.  Before storing,
-    # the rule calls one of these when the solve is traced or the new bound
-    # crosses the opposite one, and the C1 seed calls them for both of its
-    # bounds; they are the only code that appends a TraceEntry or raises
-    # ContradictionError.  Each takes a flat index into `lo`/`hi`, whose
-    # entries are current at every call.  A lower bound is never negative,
-    # so `value > lo[i]` also implies `value > 0`.
+    # the rule calls `_check` when the solve is traced or the new bound
+    # crosses the opposite one, and the C1 seed calls it for both of its
+    # bounds; it is the only code that appends a TraceEntry or raises
+    # ContradictionError.  It takes a flat index into `lo`/`hi`, whose
+    # entries are current at every call, and the bound ("lo" or "hi") that
+    # `value` would replace.  A lower bound is never negative, so
+    # `value > lo[i]` also implies `value > 0`.
 
-    def _slope_grading(self, i) -> tuple:
+    def _check(self, i, bound, value, cname, consumed):
         p, grading = divmod(i, STRIDE)
-        return self._lo + p, grading
-
-    def _check_lo(self, i, value, cname, consumed):
+        slope = self._lo + p
         if self.traced:
-            self.trace.append(TraceEntry(cname, *self._slope_grading(i), "lo", value, consumed))
-        hi = self.hi[i]
-        if hi is not None and value > hi:
-            slope, grading = self._slope_grading(i)
-            raise ContradictionError(
-                f"{cname}: lower bound {value} exceeds upper bound {hi} "
-                f"at slope {slope} (grading {grading})"
-            )
-
-    def _check_hi(self, i, value, cname, consumed):
-        if self.traced:
-            self.trace.append(TraceEntry(cname, *self._slope_grading(i), "hi", value, consumed))
-        lo = self.lo[i]
-        if value < lo:
-            slope, grading = self._slope_grading(i)
-            raise ContradictionError(
-                f"{cname}: upper bound {value} drops below lower bound "
-                f"{lo} at slope {slope} (grading {grading})"
-            )
+            self.trace.append(TraceEntry(cname, slope, grading, bound, value, consumed))
+        lo, hi = (value, self.hi[i]) if bound == "lo" else (self.lo[i], value)
+        if hi is not None and lo > hi:
+            crossing = (f"lower bound {lo} exceeds upper bound {hi}" if bound == "lo"
+                        else f"upper bound {hi} drops below lower bound {lo}")
+            raise ContradictionError(f"{cname}: {crossing} at slope {slope} (grading {grading})")
 
     # C2, the total dimension 1 of the unsurgered S^3, enters as the
     # constant anchor in C4's triangle sums.
@@ -269,8 +255,7 @@ class ConstraintSystem:
         lo = self.lo
         hi = self.hi
         traced = self.traced
-        check_lo = self._check_lo
-        check_hi = self._check_hi
+        check = self._check
         changed_at = self._changed_at
         s = 2 * self.genus - 1
         first = self._lo
@@ -302,26 +287,26 @@ class ConstraintSystem:
                         v = l1 + k
                         if v > l0:
                             if traced or (h0 is not None and v > h0):
-                                check_lo(i0, v, "C3", (n,))
+                                check(i0, "lo", v, "C3", (n,))
                             lo[i0] = l0 = v
                             cn = True
                         v = l0 - k
                         if v > l1:
                             if traced or (h1 is not None and v > h1):
-                                check_lo(i1, v, "C3", (n,))
+                                check(i1, "lo", v, "C3", (n,))
                             lo[i1] = l1 = v
                             cn = True
                         # total = 2*d1 + k = 2*d0 - k
                         v = 2 * l1 + k
                         if v > lt:
                             if traced or (ht is not None and v > ht):
-                                check_lo(it, v, "C3", (n,))
+                                check(it, "lo", v, "C3", (n,))
                             lo[it] = lt = v
                             cn = True
                         v = -((k - lt) // 2)  # ceil((t.lo - k) / 2)
                         if v > l1:
                             if traced or (h1 is not None and v > h1):
-                                check_lo(i1, v, "C3", (n,))
+                                check(i1, "lo", v, "C3", (n,))
                             lo[i1] = l1 = v
                             cn = True
                         # (t.hi - k) // 2 needs no max(., 0): the step from 2*d1 + k
@@ -331,20 +316,20 @@ class ConstraintSystem:
                             v = (ht - k) // 2
                             if h1 is None or v < h1:
                                 if traced or v < l1:
-                                    check_hi(i1, v, "C3", (n,))
+                                    check(i1, "hi", v, "C3", (n,))
                                 hi[i1] = h1 = v
                                 cn = True
                         v = -((-lt - k) // 2)  # ceil((t.lo + k) / 2)
                         if v > l0:
                             if traced or (h0 is not None and v > h0):
-                                check_lo(i0, v, "C3", (n,))
+                                check(i0, "lo", v, "C3", (n,))
                             lo[i0] = l0 = v
                             cn = True
                         if ht is not None:
                             v = (ht + k) // 2
                             if h0 is None or v < h0:
                                 if traced or v < l0:
-                                    check_hi(i0, v, "C3", (n,))
+                                    check(i0, "hi", v, "C3", (n,))
                                 hi[i0] = h0 = v
                                 cn = True
                 if c4:
@@ -358,13 +343,13 @@ class ConstraintSystem:
                                 v = hu + s3
                                 if ht is None or v < ht:
                                     if traced or v < lt:
-                                        check_hi(it, v, "C4", (n + 1, "inf"))
+                                        check(it, "hi", v, "C4", (n + 1, "inf"))
                                     hi[it] = ht = v
                                     cn = True
                             v = lu - s3
                             if v > lt:
                                 if traced or (ht is not None and v > ht):
-                                    check_lo(it, v, "C4", (n + 1, "inf"))
+                                    check(it, "lo", v, "C4", (n + 1, "inf"))
                                 lo[it] = lt = v
                                 cn = True
                             # ... then the total at n+1 from the total at n.
@@ -372,13 +357,13 @@ class ConstraintSystem:
                                 v = ht + s3
                                 if hu is None or v < hu:
                                     if traced or v < lu:
-                                        check_hi(iu, v, "C4", (n, "inf"))
+                                        check(iu, "hi", v, "C4", (n, "inf"))
                                     hi[iu] = hu = v
                                     cu = True
                             v = lt - s3
                             if v > lu:
                                 if traced or (hu is not None and v > hu):
-                                    check_lo(iu, v, "C4", (n, "inf"))
+                                    check(iu, "lo", v, "C4", (n, "inf"))
                                 lo[iu] = lu = v
                                 cu = True
                 if c5:
@@ -390,26 +375,26 @@ class ConstraintSystem:
                             v = hp + 1
                             if ht is None or v < ht:
                                 if traced or v < lt:
-                                    check_hi(it, v, "C5", (n - 1,))
+                                    check(it, "hi", v, "C5", (n - 1,))
                                 hi[it] = ht = v
                                 cn = True
                         v = lp + 1
                         if v > lt:
                             if traced or (ht is not None and v > ht):
-                                check_lo(it, v, "C5", (n - 1,))
+                                check(it, "lo", v, "C5", (n - 1,))
                             lo[it] = lt = v
                             cn = True
                         if ht is not None:
                             v = ht - 1
                             if hp is None or v < hp:
                                 if traced or v < lp:
-                                    check_hi(ip, v, "C5", (n,))
+                                    check(ip, "hi", v, "C5", (n,))
                                 hi[ip] = hp = v
                                 cp = True
                         v = lt - 1
                         if v > lp:
                             if traced or (hp is not None and v > hp):
-                                check_lo(ip, v, "C5", (n,))
+                                check(ip, "lo", v, "C5", (n,))
                             lo[ip] = lp = v
                             cp = True
                 if c6:
@@ -417,7 +402,7 @@ class ConstraintSystem:
                         v = s - n
                         if v > l0:
                             if traced or (h0 is not None and v > h0):
-                                check_lo(i0, v, "C6", ())
+                                check(i0, "lo", v, "C6", ())
                             lo[i0] = l0 = v
                             cn = True
                 if cn or cu or cp:
@@ -449,8 +434,8 @@ class ConstraintSystem:
             return
         m = self.lspace_slope
         i = STRIDE * (m - self._lo) + TOTAL
-        self._check_lo(i, m, "C1", ())
-        self._check_hi(i, m, "C1", ())
+        self._check(i, "lo", m, "C1", ())
+        self._check(i, "hi", m, "C1", ())
         self.lo[i] = self.hi[i] = m
 
     def solve(self) -> dict:

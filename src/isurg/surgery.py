@@ -6,10 +6,11 @@ ceil_div below is its mirror.
 
 `dims_z2`, `dims_z4` and `lens_space_dims` give one slope as a validated
 graded vector.  `dims_rows` gives a whole range of slopes, the rows of
-`isurg dims`, one regime at a time: the closed forms have four regimes
-(n <= -1, n = 0, 1 <= n <= 2g-1, n >= 2g).  Each regime comes as its row
-with the entries that do not depend on n filled in, and one generator
-expression of the entries that do, with no call and no vector per row.
+`isurg dims`, from one table of the closed forms' four regimes (n <= -1,
+n = 0, 1 <= n <= 2g-1, n >= 2g), with no call and no vector per row; a Z/2
+row is its Z/4 row's prefix.  With h = 2g - 1, the first and third regimes
+share one form: in Z/4 the Z/2 summand h - n splits into its ceiling and
+floor halves, and the other summand into g and g - 1.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ def dims_rows(g: int, slopes: range, z4: bool):
     `fixed` is the regime's row with each entry that does not depend on n
     given as its int and None where it varies; the n = 0 row is all ints.
     `rows` is a generator of the varying entries only, in slope order, one
-    tuple per n: `(n, h - n, g + (-n) // 2, g + (-1 - n) // 2)` for
-    n <= -1 with `z4`, and `()` for n = 0.
+    tuple per n: with h = 2g - 1, `(n, h - n, (h + 1 - n) // 2, (h - n) // 2)`
+    for n <= -1 and for 1 <= n <= h with `z4`, `(n, h - n)` for them
+    without, and `()` for n = 0.
 
     Within a regime every entry is monotone in n, so when the rows at the
     regime's two ends in `slopes` are valid graded vectors (nonnegative
@@ -74,29 +76,20 @@ def dims_rows(g: int, slopes: range, z4: bool):
     """
     h, k = 2 * g - 1, g - 1
     lo, hi = slopes.start, slopes.stop - 1
-    ns = _checked(g, z4, lo, min(hi, -1))
-    if ns and z4:
-        yield (None, None, h, None, k, None, g), (
-            (n, h - n, g + (-n) // 2, g + (-1 - n) // 2) for n in ns)
-    elif ns:
-        yield (None, None, h), ((n, h - n) for n in ns)
-    ns = _checked(g, z4, max(lo, 0), min(hi, 0))
-    if ns and z4:
-        yield (0, h, h, k, k, g, g), (() for n in ns)
-    elif ns:
-        yield (0, h, h), (() for n in ns)
-    ns = _checked(g, z4, max(lo, 1), min(hi, h))
-    if ns and z4:
-        yield (None, h, None, g, None, k, None), (
-            (n, h - n, g - (n + 1) // 2, k - n // 2) for n in ns)
-    elif ns:
-        yield (None, h, None), ((n, h - n) for n in ns)
-    ns = _checked(g, z4, max(lo, h + 1), hi)
-    if ns and z4:
-        yield (None, None, 0, None, 0, None, 0), (
-            (n, n, (n + 2) // 2, (n - 1) // 2) for n in ns)
-    elif ns:
-        yield (None, None, 0), ((n, n) for n in ns)
+    # The varying entries of a row below 0 and on 1..h (the halves), and past h.
+    if z4:
+        halves = lambda ns: ((n, h - n, (h + 1 - n) // 2, (h - n) // 2) for n in ns)
+        lens = lambda ns: ((n, n, (n + 2) // 2, (n - 1) // 2) for n in ns)
+    else:
+        halves = lambda ns: ((n, h - n) for n in ns)
+        lens = lambda ns: ((n, n) for n in ns)
+    for first, last, fixed, rows in ((lo, -1, (None, None, h, None, k, None, g), halves),
+                                     (0, 0, (0, h, h, k, k, g, g), lambda ns: (() for n in ns)),
+                                     (1, h, (None, h, None, g, None, k, None), halves),
+                                     (h + 1, hi, (None, None, 0, None, 0, None, 0), lens)):
+        ns = _checked(g, z4, max(lo, first), min(hi, last))
+        if ns:
+            yield (fixed if z4 else fixed[:3]), rows(ns)
 
 
 def _checked(g: int, z4: bool, a: int, b: int) -> range:

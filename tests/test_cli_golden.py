@@ -1,9 +1,10 @@
 """Golden digests of the CLI's output in every format.
 
 Each case pins the sha256 of stdout and stderr together with the exit code:
-bulk `dims` rows, the catalog-warning path, list and None cells, every
-regime of the triangle degrees (n >= 2 even, n >= 1 odd, 0, -1, n <= -2
-even, n <= -3 odd), trace lines, the exit-3 error report (whose "dropped"
+bulk `dims` rows, a torus knot's Z/4 row, the catalog-warning path, list
+and None cells, every regime of the triangle degrees (n >= 2 even, n >= 1
+odd, 0, -1, n <= -2 even, n <= -3 odd), the trefoil family, trace lines
+and JSON trace entries, the exit-3 error report (whose "dropped"
 lists a repeated --drop-constraint once, as the success record does) and a
 usage error.  Changes to how records are formatted must leave all of them
 byte-identical.
@@ -24,6 +25,7 @@ CATALOG = {"knots": [{"name": "K2", "genus": 2, "max_self_linking": 3}]}
 CASES = {
     "dims": ["dims", "--genus", "2", "--range", "-300:300", "--z4"],
     "warning": ["dims", "--knot", "K2", "--range", "-5:5", "--z4", "--catalog", "{catalog}"],
+    "torus": ["dims", "--knot", "torus:2,3", "--n", "-1", "--z4"],
     "triangle": ["triangle", "--n", "7"],
     "triangle_even_pos": ["triangle", "--n", "4"],
     "triangle_zero": ["triangle", "--n", "0"],
@@ -33,6 +35,7 @@ CASES = {
     "legendrian": ["legendrian", "--tb", "1", "--rot", "0", "--target-tb", "-3"],
     "planefield": ["planefield", "--chi", "1", "--sigma", "0"],
     "planefield_c1sq": ["planefield", "--chi", "2", "--sigma", "-1", "--c1sq", "-1/2"],
+    "trefoil": ["trefoil", "--n", "3"],
     "oracle_trace": ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-6:6", "--trace"],
     "oracle_exit3": ["oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-10:10",
                      "--drop-constraint", "C6", "--trace"],
@@ -48,6 +51,7 @@ GOLDEN = [
     ("warning", "table", 0, "3996b148d2daf590d9ee86b34ff556f39dcc2b4711d980664b4607bae0020015"),
     ("warning", "tsv", 0, "7bbe8f3f89323eec21155cb87631681e855e0a6b89f0c92ad06d376e276ff156"),
     ("warning", "json", 0, "c0b5a44244fa39ce7d63006a777b9c76ffefa4f0e8f0171943ab0615a6d27a70"),
+    ("torus", "table", 0, "3c27bf9ffdfbb9c1ac783e078070f4a410abfb43f69a165f6815cf88099b0bed"),
     ("triangle", "table", 0, "f88d7dbce241221679af804914376b30a162363ab8f2a7a3be2db3f776c3e44e"),
     ("triangle", "tsv", 0, "0d046ef75d7508c5b1ab5cd48532bbb443d7334cedd8a276ea5d191995811d3b"),
     ("triangle", "json", 0, "2e70cbfc762f26f85e0d14bc5c7cd08b1e5242808806e478f0e58c0b5456206f"),
@@ -65,7 +69,9 @@ GOLDEN = [
     ("planefield_c1sq", "table", 0, "caf60ba2da2a5131d3a3fb67027fdb5b3745004b17bd930a0accbd3af871c109"),
     ("planefield_c1sq", "tsv", 0, "c2d64165b8f77400e45589e41336018c0dab5d98262285d36970cd95f7ece824"),
     ("planefield_c1sq", "json", 0, "073d78f65a407530e3223c39351931d1b25b5d477e559d0bcfe0a1c9edef7450"),
+    ("trefoil", "table", 0, "3b47ca1ff93c08c45ab7b0ddd15ae490deb9d7c7d8427dc5855f95df8ee47066"),
     ("oracle_trace", "table", 0, "61db522ae2eaed27b691d0779d4a41acc6e708c55a2c595974aa702fe1851e71"),
+    ("oracle_trace", "json", 0, "d912a1fd0f7ea5eb73a28a28cab627624e377861b7ab3a987be0e7b9ac476fe6"),
     ("oracle_exit3", "table", 3, "64d65c6fc29408ef455e2770c43ebe22c569f3bfd5d6cec79ce7c84c02d0f7e3"),
     ("oracle_exit3_repeat", "json", 3, "eb9443b3dbdc0c08ca6c889fd2e09548d0d22b387df1d479cff6884fb7d54d03"),
     ("usage", "table", 2, "b1dad6bd356d461c66a801ff07c233a80759009ebf3744c320681e77b72a71ef"),

@@ -193,9 +193,9 @@ def _rules(system):
     return [_rule(system, c) for c, on in zip(RULES, system._active()) if on]
 
 
-def _contradiction_messages(pins, rule):
-    """The ContradictionError text at slope 3, with `pins` ((slope, grading,
-    value) triples) set, of the rule `rule` ("C3" or "C4") alone, untraced
+def _contradiction_messages(pins, rule, slope=3):
+    """The ContradictionError text at `slope`, with `pins` ((slope, grading,
+    value) triples) set, of the rule `rule` (one of RULES) alone, untraced
     and traced, then of the fused visit of all RULES, untraced and traced.
     Untraced, a crossing bound is caught by the test before the inline
     store; traced, every tightening goes through the helper.  A fused
@@ -209,7 +209,7 @@ def _contradiction_messages(pins, rule):
             for n, grading, value in pins:
                 _pin(system, n, grading, value)
             with pytest.raises(ContradictionError) as exc:
-                _rule(system, *rules)(3)
+                _rule(system, *rules)(slope)
             messages.append(str(exc.value))
     return messages
 
@@ -241,6 +241,27 @@ def test_pinned_inconsistent_c4_pair_is_a_contradiction(t3, t4, message):
     assert [alone_untraced, alone_traced] == [f"C4: {message}"] * 2
     # A fused visit runs C3 on slope 3 first, which may raise before C4.
     assert fused_untraced == fused_traced
+
+
+@pytest.mark.parametrize("t2, t3, message", [
+    pytest.param(5, 5, "lower bound 6 exceeds upper bound 5 at slope 3 (grading 2)", id="5-5"),
+    pytest.param(3, 5, "upper bound 4 drops below lower bound 5 at slope 3 (grading 2)", id="3-5"),
+])
+def test_pinned_inconsistent_c5_pair_is_a_contradiction(t2, t3, message):
+    # With g = 1, adjunction wants t3 = t2 + 1 at slope 3 > 2g - 1.
+    pins = [(2, oracle.TOTAL, t2), (3, oracle.TOTAL, t3)]
+    # In a fused visit C3 and C4 find nothing to cross, so C5 raises there too.
+    assert _contradiction_messages(pins, "C5") == [f"C5: {message}"] * 4
+
+
+def test_pinned_stein_excess_is_a_contradiction():
+    # C6 wants d0 >= (2g - 1) + 3 = 4 at slope -3, above the pinned 2.
+    pins = [(-3, 0, 2)]
+    alone_untraced, alone_traced, fused_untraced, fused_traced = _contradiction_messages(pins, "C6", -3)
+    message = "C6: lower bound 4 exceeds upper bound 2 at slope -3 (grading 0)"
+    assert [alone_untraced, alone_traced] == [message] * 2
+    # A fused visit runs C3 first, whose d0 >= d1 + 3 crosses already.
+    assert fused_untraced == fused_traced == "C3: lower bound 3 exceeds upper bound 2 at slope -3 (grading 0)"
 
 
 def test_pinned_consistent_checks_change_nothing_and_still_count():

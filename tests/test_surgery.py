@@ -53,6 +53,22 @@ def test_collapse_matches_z2(g):
         assert collapse_z4_to_z2(dims_z4(g, n)) == dims_z2(g, n)
 
 
+@pytest.mark.parametrize("g", range(1, 9))
+def test_z4_halves_the_z2_summand_that_depends_on_n(g):
+    # Off n = 0 and the lens-space regime, Z/4 gradings j and j + 2 over the
+    # Z/2 summand h - n (j = 0 below 0, j = 1 on 1..h) are its ceiling and
+    # floor halves; over the other summand they are g and g - 1.
+    h = 2 * g - 1
+    for n in range(-40, 41):
+        v = dims_z4(g, n).entries()
+        if n == 0:
+            assert v == (g - 1, g - 1, g, g)
+        elif n <= h:
+            j = 0 if n < 0 else 1
+            assert (v[j], v[j + 2]) == (-((n - h) // 2), (h - n) // 2), n
+            assert {v[1 - j], v[3 - j]} == {g, g - 1}, n
+
+
 @pytest.mark.parametrize("g", range(1, 7))
 def test_euler_is_abs_n(g):
     for n in range(-50, 51):
