@@ -110,12 +110,8 @@ def to_s3_cobordism_data(n: int) -> CobordismData:
     This is the reversed, orientation-flipped trace of (n+1)-surgery:
     chi = 1, sigma = -sign(n+1).  Non-spin exactly when n is even.
     """
-    return CobordismData(
-        chi=1,
-        sigma=-_sign(n + 1),
-        b1_in=1 if n + 1 == 0 else 0,
-        spin=n % 2 != 0,
-    )
+    w = surgery_cobordism_data(n + 1)
+    return w._replace(sigma=-w.sigma, b1_in=w.b1_out, b1_out=w.b1_in)
 
 
 def spin_s3_cobordism_data(n: int) -> CobordismData:

@@ -451,9 +451,8 @@ def test_legendrian_at_the_limit_is_computed(capsys, monkeypatch):
 
 
 def test_legendrian_bad_parity(capsys):
-    code, _, err = run(capsys, "legendrian", "--tb", "1", "--rot", "1", "--target-tb", "0")
-    assert code == 2
-    assert "odd" in err
+    assert run(capsys, "legendrian", "--tb", "1", "--rot", "1", "--target-tb", "0") == (
+        2, "", "error: tb + r must be odd, got tb=1, r=1\n")
 
 
 def test_planefield(capsys):
@@ -500,6 +499,11 @@ def test_planefield_long_c1sq_is_echoed_in_short(capsys, int_digit_limit, c1sq, 
     assert cause in err
     assert f"{c1sq[:40]!r}... ({len(c1sq)} characters)" in err
     assert len(err.encode()) < 200
+
+
+def test_planefield_c1sq_with_a_bad_exponent_exits_2(capsys):
+    assert run(capsys, "planefield", "--chi", "1", "--sigma", "0", "--c1sq", "1e5x") == (
+        2, "", "error: --c1sq must be a rational, got '1e5x'\n")
 
 
 def test_planefield_c1sq_at_the_digit_limit_is_computed(capsys, int_digit_limit):
@@ -549,8 +553,7 @@ def test_trefoil(capsys):
     assert code == 0
     assert record["results"][0]["z2"] == [3, 2]
 
-    code, _, err = run(capsys, "trefoil", "--n", "0")
-    assert code == 2
+    assert run(capsys, "trefoil", "--n", "0") == (2, "", "error: n must be >= 1\n")
 
 
 def test_tsv_columns(capsys):
@@ -646,6 +649,9 @@ def _long_path(tmp_path):
     (None, os.strerror(errno.ENOENT)),
     ('{"knots": 1}', 'catalog must be an object with a "knots" list'),
     ('{"knots": []}', None),
+    ('{"knots": [1]}', "knots[0]: entry must be an object"),
+    ('{"knots": [{"name": "K", "genus": 1, "max_self_linking": 1, "lspace_slope": 0}]}',
+     "knots[0] (K): lspace_slope must be a positive integer"),
     (b"\xff\xfe\x00", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 ])
 def test_long_catalog_path_is_echoed_once_in_short(capsys, tmp_path, content, message):
@@ -733,6 +739,12 @@ def test_short_bad_range_message_is_unchanged(capsys, text, message):
     code, _, err = run_exit(capsys, "dims", "--genus", "1", "--range", text)
     assert code == 2
     assert err.endswith(f"isurg dims: error: argument --range: {message}\n")
+
+
+def test_glued_flag_as_the_last_token_keeps_the_argparse_message(capsys):
+    code, out, err = run_exit(capsys, "dims", "--genus", "1", "--range")
+    assert (code, out) == (2, "")
+    assert err.endswith("isurg dims: error: argument --range: expected one argument\n")
 
 
 def test_abbreviated_range_and_c1sq_take_a_value_that_starts_with_a_dash(capsys):

@@ -60,6 +60,8 @@ def test_delta_dual():
         assert delta_dual(d, 1) == d
         for b1 in range(5):
             assert delta_dual(delta_dual(d, b1), b1) == d
+    with pytest.raises(ValueError, match="^b1 must be nonnegative$"):
+        delta_dual(0, -1)
 
 
 def test_contact_grading_examples():

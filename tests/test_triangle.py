@@ -84,6 +84,16 @@ def test_surgery_cobordism_data():
     assert (c.chi, c.sigma, c.b1_out, c.spin) == (1, 0, 1, True)
 
 
+def test_to_s3_cobordism_data_is_the_reversed_trace():
+    # The literal data of S^3_{n+1} -> S^3, against which the reversed,
+    # orientation-flipped trace of (n+1)-surgery is checked.
+    for n in range(-50, 51):
+        sign = (n + 1 > 0) - (n + 1 < 0)
+        expected = CobordismData(chi=1, sigma=-sign, b1_in=int(n == -1), b1_out=0,
+                                 spin=n % 2 != 0)
+        assert to_s3_cobordism_data(n) == expected, n
+
+
 def test_spin_s3_cobordism_data_is_the_spin_map():
     for n in range(-20, 21):
         from_s3, to_s3 = surgery_cobordism_data(n), to_s3_cobordism_data(n)
