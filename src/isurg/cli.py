@@ -92,9 +92,7 @@ def _fmt(v):
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, list):
-        return ",".join([str(x) for x in v])
-    return str(v)
+    return ",".join([str(x) for x in v])  # a list: the last kind of value a row holds
 
 
 def _emit(record: dict, fmt: str) -> None:
@@ -201,10 +199,9 @@ def _write_blocks(write, template, rows) -> None:
     while batch := list(islice(rows, _BLOCK)):
         try:
             text = (template * len(batch)) % tuple(chain.from_iterable(batch))
-        except ValueError:  # an int too long to print: the rows before it go out first
-            for row in batch:
+        except ValueError:  # an int too long to print: the rows before it go out
+            for row in batch:  # first, and then its own row raises the same error
                 write(template % row)
-            raise
         write(text)
 
 

@@ -500,38 +500,3 @@ def solve(g, m, slope_range, drop=()) -> dict:
     L-space slope m, from constraints C1-C6 alone."""
     return ConstraintSystem(g, m, slope_range, drop).solve()
 
-
-def solve_trefoil_family(n_max: int) -> dict:
-    """Re-derive the 1/n-surgery dimensions on the right-handed trefoil.
-
-    Base case n=1 comes from the integral solver; the induction couples the
-    triangle with the total-dimension-2 zero-surgery term against the Stein
-    lower bound of 2n-1 with n-1 in grading 1.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    base = solve(1, 5, (0, 1))
-    zero_total = base[0].total()  # 2
-    result = {1: base[1]}
-    for n in range(2, n_max + 1):
-        prev_total = result[n - 1].total()
-        # Triangle (1/n, 1/(n-1), 0): total can grow by at most zero_total.
-        hi_total = prev_total + zero_total
-        # Stein fillings: n-1 independent classes in grading 1; euler
-        # characteristic 1 puts one more in grading 0.
-        lo0, lo1 = n, n - 1
-        if lo0 + lo1 > hi_total:
-            raise ContradictionError(
-                f"trefoil family: lower bound {lo0 + lo1} exceeds triangle "
-                f"upper bound {hi_total} at n={n}"
-            )
-        # Totals have the parity of euler characteristic 1, so the only
-        # candidates in [2n-1, hi_total] are 2n-1 (pinned) or 2n+1 (open).
-        if hi_total >= lo0 + lo1 + 2:
-            raise NotDeterminedError(
-                f"trefoil family: total at n={n} only bounded in "
-                f"[{lo0 + lo1}, {hi_total}]",
-                [n],
-            )
-        result[n] = GradedDimZ2(lo0, lo1)
-    return result

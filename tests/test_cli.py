@@ -819,6 +819,13 @@ def test_a_replaced_command_runs_once_the_parser_is_kept(capsys, monkeypatch):
     assert run(capsys, "trefoil", "--n", "4") == (0, "n=-4\n", "")
 
 
+def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch):
+    # The console script calls main() with no arguments.
+    monkeypatch.setattr(sys, "argv", ["isurg", "trefoil", "--n", "3"])
+    assert cli.main() == 0
+    assert capsys.readouterr() == ("n=3  z2_d0=3  z2_d1=2  provenance=prop61\n", "")
+
+
 def test_dims_imports_only_what_it_computes_with():
     # One fresh interpreter: a module that an earlier test imported stays in
     # this process's sys.modules.

@@ -15,10 +15,9 @@ from isurg.oracle import (
     NotDeterminedError,
     build_system,
     solve,
-    solve_trefoil_family,
 )
 from isurg.planefield import FillingData, contact_grading
-from isurg.surgery import dims_z2, trefoil_one_over_n
+from isurg.surgery import dims_z2
 
 
 def test_base_case_only():
@@ -145,19 +144,6 @@ def test_c1_is_the_starting_state(g):
         dropped = build_system(g, m, (-3, 3), drop=("C1",), trace=True)
         _outcome(dropped)
         assert all(e.constraint != "C1" for e in dropped.trace), m
-
-
-def test_trefoil_family():
-    assert solve_trefoil_family(1) == {1: GradedDimZ2(1, 0)}
-    r = solve_trefoil_family(10)
-    for n in range(1, 11):
-        assert r[n] == GradedDimZ2(n, n - 1)
-        assert r[n] == trefoil_one_over_n(n)
-
-
-def test_trefoil_family_rejects_bad_input():
-    with pytest.raises(ValueError):
-        solve_trefoil_family(0)
 
 
 def test_contradiction_carries_trace():
