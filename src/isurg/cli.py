@@ -9,10 +9,11 @@ JSON output, including the exit-3 report, has exactly the layout of
 `json.dumps(record, indent=2)` (non-ASCII characters escaped) and is
 byte-stable.  Result rows are written as they are computed, so `dims`
 holds at most one block of `_BLOCK` rows at any range (`oracle` holds its
-solved slopes and makes each row as it is written), and a reader that
-closes stdout early (`isurg dims ... | head -1`) stops a long range there
-and ends the run quietly with exit 0.  A `dims` range is written one
-closed-form regime at a time, from one template per regime (`_write_rows`).
+solved slopes and trace, and makes each row and trace entry as it is
+written), and a reader that closes stdout early (`isurg dims ... | head -1`)
+stops a long range there and ends the run quietly with exit 0.  A `dims`
+range is written one closed-form regime at a time, from one template per
+regime (`_write_rows`).
 
 Exit codes: 0 success; 2 when a `cmd_<name>` raises ValueError, whose
 text is written as `error: <text>`; 3 when it returns a record holding
@@ -96,19 +97,19 @@ def _fmt(v):
 
 
 def _emit(record: dict, fmt: str) -> None:
-    """Write the record, each result row as soon as `results` yields it.
+    """Write the record, each result row or trace entry as soon as it is made.
 
     Warnings go to stderr before the first row, except in JSON, which
     holds them in the record.
     """
     write = sys.stdout.write
     if fmt == "json":
-        # The layout of _json(record), with "results" written row by row.
+        # The layout of _json(record), with "results" and "trace" row by row.
         sep = "{\n  "
         for k, v in record.items():
             write(sep + _ESCAPE(k) + ": ")
             sep = ",\n  "
-            if k != "results":
+            if k not in ("results", "trace"):
                 write(_json(v, "\n  "))
             elif _write_rows(v, lambda res: _json(res, "\n    "), "[\n    ", ",\n    "):
                 write("\n  ]")
@@ -386,7 +387,7 @@ def cmd_oracle(args) -> dict:
             for n, v in solved.items()
         )
     if args.trace:
-        record["trace"] = [e.to_dict() for e in system.trace]
+        record["trace"] = (e.to_dict() for e in system.trace)
     return record
 
 

@@ -86,9 +86,9 @@ checks are skipped where no candidate can be tighter than its bound:
 
   C3 at slope n, when d0, d1 and the total are pinned at a, b and t with
      a = b + |n| and t = a + b.  Then t = 2b + |n| = 2a - |n|, and each of
-     the rule's seven candidates (d1 + |n|, d0 - |n| and 2*d1 + |n| at lo,
-     and the halves (t -+ |n|) / 2 at lo and at hi) equals the a, b or t it
-     is compared with.
+     the rule's six candidates (d0 - |n| and 2*d1 + |n| at lo, and the
+     halves (t -+ |n|) / 2 at lo and at hi) equals the a, b or t it is
+     compared with.
   C4 at (n, n+1), when both totals are pinned at t and u with |t - u| <= 1.
      Then the upper candidate u + 1 is at least t, and the lower one u - 1
      is at most t; the same holds with t and u swapped.
@@ -106,6 +106,14 @@ d1.hi, always as a pair with d0.hi = d1.hi + |n|.  Only C1, C4 and C5
 write a total's hi, each with the parity of |n| (C4 and C5 step by 1 to a
 neighbour), so the halves are exact and store both or neither.  So a
 stored d1.hi is (t.hi - |n|) / 2, and t.hi only falls after that.
+
+C3's d0.lo comes from the total too, as ceil((t.lo + |n|) / 2); the
+candidate d1.lo + |n| never tightens a reachable state.  Only C3 writes
+d1.lo: as d0.lo - |n|, which that candidate turns back into d0.lo, or as
+ceil((t.lo - |n|) / 2), after which the same application stores d0.lo >=
+ceil((t.lo + |n|) / 2), exactly that d1.lo + |n|.  From the starting
+d1.lo = 0, its 2*d1.lo + |n| and ceil((t.lo + |n|) / 2) give d0.lo >= |n|.
+So every C3 application ends with d0.lo >= d1.lo + |n|; d0.lo never falls.
 
 C4 states only its two difference legs, between the totals at n and n+1;
 its anchor leg, t.lo <- 1 - u.hi for a neighbour's total u, would never
@@ -283,13 +291,7 @@ class ConstraintSystem:
                 if c3:
                     k = abs(n)
                     if not (h0 == l0 and h1 == l1 and ht == lt and l0 == l1 + k and lt == l0 + l1):
-                        # euler coupling d0 = d1 + k; upper bounds come from the total
-                        v = l1 + k
-                        if v > l0:
-                            if traced or (h0 is not None and v > h0):
-                                check(i0, "lo", v, "C3", (n,))
-                            lo[i0] = l0 = v
-                            cn = True
+                        # euler coupling d0 = d1 + k; d0.lo and upper bounds from the total
                         v = l0 - k
                         if v > l1:
                             if traced or (h1 is not None and v > h1):

@@ -47,15 +47,14 @@ def d3(f: FillingData) -> Fraction:
     class of the plane field (caller obligation) and c1_sq present."""
     if f.c1_sq is None:
         raise ValueError("d3 needs c1_sq")
-    return Fraction(f.c1_sq - 3 * f.sigma - 2 * f.chi, 1) / 4
+    return (f.c1_sq - 3 * f.sigma - 2 * f.chi) / 4
 
 
 def rho(f: FillingData) -> Fraction:
     """Spin^c rho invariant (c1^2 - sigma)/4 mod 2, as a Fraction in [0, 2)."""
     if f.c1_sq is None:
         raise ValueError("rho needs c1_sq")
-    val = Fraction(f.c1_sq - f.sigma, 1) / 4
-    return val - 2 * (val / 2).__floor__()
+    return (f.c1_sq - f.sigma) / 4 % 2
 
 
 def delta_dual(d: int, b1: int) -> int:

@@ -2,7 +2,7 @@
 
 All floor/ceiling arithmetic rounds toward -inf/+inf respectively, which
 matters for negative surgery coefficients; Python's // already floors, and
-ceil_div below is its mirror.
+each ceiling is written as a floor, ceil(a / 2) = (a + 1) // 2.
 
 `dims_z2`, `dims_z4` and `lens_space_dims` give one slope as a validated
 graded vector.  `dims_rows` gives a whole range of slopes, the rows of
@@ -16,10 +16,6 @@ floor halves, and the other summand into g and g - 1.
 from __future__ import annotations
 
 from .graded import GradedDimZ2, GradedDimZ4
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def dims_z2(g: int, n: int) -> GradedDimZ2:
@@ -52,7 +48,7 @@ def dims_z4(g: int, n: int) -> GradedDimZ4:
     if n == 0:
         return GradedDimZ4(g - 1, g - 1, g, g)
     if n <= 2 * g - 1:
-        return GradedDimZ4(g, g - _ceil_div(n, 2), g - 1, g - 1 - n // 2)
+        return GradedDimZ4(g, g - (n + 1) // 2, g - 1, g - 1 - n // 2)
     return lens_space_dims(n)
 
 
@@ -106,7 +102,7 @@ def lens_space_dims(n: int) -> GradedDimZ4:
     """Z/4 vector of a lens space with |H_1| = n: (ceil((n+1)/2), 0, floor((n-1)/2), 0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return GradedDimZ4(_ceil_div(n + 1, 2), 0, (n - 1) // 2, 0)
+    return GradedDimZ4((n + 2) // 2, 0, (n - 1) // 2, 0)
 
 
 def trefoil_one_over_n(n: int) -> GradedDimZ2:

@@ -175,8 +175,9 @@ def _rule(system, *cnames):
 
 
 def _rules(system):
-    """The active constraints among RULES, in order, as one-slope calls."""
-    return [_rule(system, c) for c, on in zip(RULES, system._active()) if on]
+    """The active constraints among RULES, in order, as (name, one-slope
+    call) pairs."""
+    return [(c, _rule(system, c)) for c, on in zip(RULES, system._active()) if on]
 
 
 def _contradiction_messages(pins, rule, slope=3):
@@ -201,7 +202,9 @@ def _contradiction_messages(pins, rule, slope=3):
 
 
 @pytest.mark.parametrize("d0, d1, total, message", [
-    pytest.param(2, 0, 2, "lower bound 3 exceeds upper bound 2 at slope 3 (grading 0)", id="2-0-2"),
+    # d0.lo comes only from the total (module docstring), so the crossing
+    # shows at the total, from 2 * 0 + 3.
+    pytest.param(2, 0, 2, "lower bound 3 exceeds upper bound 2 at slope 3 (grading 2)", id="2-0-2"),
     # C3 gives the total no upper bound from d1 (module docstring), so the
     # crossing shows at d1, from ceil((5 - 3) / 2).
     pytest.param(3, 0, 5, "lower bound 1 exceeds upper bound 0 at slope 3 (grading 1)", id="3-0-5"),
@@ -273,12 +276,13 @@ def test_build_holds_no_object_per_bound():
     assert peak < 16 * 2**20
 
 
-def _chaotic_fixpoint(system, rng, after_step=lambda: None):
+def _chaotic_fixpoint(system, rng, after_step=lambda cname, n: None):
     """Seed C1, then apply the system's rules in random slope and rule
-    orders until no bound changes, calling `after_step` after the seed and
-    after each application; independent of solve()'s sweep schedule."""
+    orders until no bound changes, calling `after_step("C1", None)` after
+    the seed and `after_step(cname, n)` after each application of rule
+    `cname` at slope n; independent of solve()'s sweep schedule."""
     system._seed_base()
-    after_step()
+    after_step("C1", None)
     steps = _rules(system)
     slopes = list(range(system._lo, system._hi + 1))
     for _ in range(2 * len(slopes)):
@@ -286,9 +290,9 @@ def _chaotic_fixpoint(system, rng, after_step=lambda: None):
         rng.shuffle(slopes)
         for n in slopes:
             rng.shuffle(steps)
-            for step in steps:
+            for cname, step in steps:
                 changed |= step(n)
-                after_step()
+                after_step(cname, n)
         if not changed:
             return system.lo, system.hi
     raise AssertionError("no fixpoint within the pass limit")
@@ -355,7 +359,7 @@ def test_lower_bounds_stay_under_the_ceiling(drop):
         ceiling = [b for n in slopes for b in _ceiling(g, n)]
         truth = [v for n in slopes for v in (*dims_z2(g, n), dims_z2(g, n).total())]
 
-        def under_the_ceiling_and_sound():
+        def under_the_ceiling_and_sound(*_):
             assert all(lo <= b for lo, b in zip(system.lo, ceiling)), (g, m)
             assert all(lo <= v and (hi is None or v <= hi)
                        for lo, hi, v in zip(system.lo, system.hi, truth)), (g, m)
@@ -418,7 +422,7 @@ def test_graded_upper_bounds_follow_the_total(drop):
     for g, m in ((1, 5), (2, 3), (3, 11)):
         system = build_system(g, m, (-12, 12), drop=drop)
 
-        def paired_by_the_total():
+        def paired_by_the_total(*_):
             for p, n in enumerate(range(system._lo, system._hi + 1)):
                 h0, h1, ht = system.hi[oracle.STRIDE * p:oracle.STRIDE * (p + 1)]
                 k = abs(n)
@@ -428,6 +432,27 @@ def test_graded_upper_bounds_follow_the_total(drop):
                 assert ht is None or ht >= 1, (g, m, n)
 
         _chaotic_fixpoint(system, random.Random(repr(drop)), paired_by_the_total)
+
+
+@pytest.mark.parametrize("drop", [()] + [d for k in (1, 2) for d in itertools.combinations(CONSTRAINT_IDS, k)
+                                          if "C3" not in d])
+def test_c3_leaves_d0_at_least_d1_plus_n(drop):
+    # Why C3 takes d0.lo only from the total (module docstring): every C3
+    # application at n ends with d0.lo >= d1.lo + |n|, and that still holds
+    # there after every later step, so the candidate d1.lo + |n| is never
+    # tighter than d0.lo.
+    for g, m in ((1, 5), (2, 3), (3, 11)):
+        system = build_system(g, m, (-12, 12), drop=drop)
+        split = set()  # slopes where C3 has run
+
+        def d0_covers_d1_plus_n(cname, n):
+            if cname == "C3":
+                split.add(n)
+            for q in split:
+                i0 = oracle.STRIDE * (q - system._lo)
+                assert system.lo[i0] >= system.lo[i0 + 1] + abs(q), (g, m, q)
+
+        _chaotic_fixpoint(system, random.Random(repr(drop)), d0_covers_d1_plus_n)
 
 
 @pytest.mark.parametrize("g", (1, 2, 3))
@@ -477,7 +502,7 @@ def _unskipped_sweeps(system):
         sweeps += 1
         changed = False
         for n in order:
-            for step in steps:
+            for _, step in steps:
                 applications += 1
                 changed |= step(n)
         if not changed:

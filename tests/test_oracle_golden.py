@@ -16,19 +16,19 @@ import pytest
 from isurg import cli
 
 GOLDEN = [
-    (1, 5, "-10:10", (), 0, "cae1e6a9ed94c8615b5f30fbc1984ab5ed6d4f277883dcf8aa7a2e08870173a6"),
-    (1, 1, "-30:7", (), 0, "267fd5292e9c88df07ec0e44d6d60230ee6027d6c8a5e7ad8d9bf09d8aba680c"),
-    (2, 3, "-6:20", (), 0, "9420171ae827e1adacac4906712176c818bff20fb9498fe342d74617c9589c8f"),
-    (2, 7, "-25:25", (), 0, "3c239c7a7665c86785294cbaf95cf538a0ae28e390fc6b5828d3dd4207afd8f5"),
-    (2, 9, "-300:300", (), 0, "564e2f3c39b86001bfb77f4ff7ef646aa530020a20df0c175b6219d0500c9cab"),
-    (3, 5, "0:12", (), 0, "90d1715b96a7721fa94c04ee3183cb6ca98a31214acff427d79b6964be68c955"),
-    (3, 11, "-40:3", (), 0, "b28bd46bf4db69bd6031cca47ed4019b95ef4f95e85926dc9fcde53c9538f955"),
-    (1, 5, "-10:10", ("C5",), 3, "0f1633d1c589e1e7087516a40fa2af000d595827f16142c8740092de2a1401c6"),
-    (1, 5, "-10:10", ("C1",), 3, "e5cd7cad65ce598b3e5ad285b4fdbba559ceff4bfdcf7c1d27890f9fec4a5c6b"),
-    (1, 5, "-10:10", ("C2",), 3, "6218e7f252d01f7da82147332b13f18253a193718c914e17e457661087854c2d"),
+    (1, 5, "-10:10", (), 0, "e19fa1669466d5ab1e1f4fd6e90817816463fcab5ce841cd269217cb62a58dcc"),
+    (1, 1, "-30:7", (), 0, "b36df016748299808a05f9aadcd6ef887fbf91d52904a29c66751f697584a9a7"),
+    (2, 3, "-6:20", (), 0, "a20681329d62c67da69f2ae3c00707a3874729da9fecf4dfbca560f65d93a653"),
+    (2, 7, "-25:25", (), 0, "b01c4f226805c97f829133ed41cde0c55b882463bd905aa13d14bcf95289ad60"),
+    (2, 9, "-300:300", (), 0, "46ae5d6275f4257c1fcf42d3bc44e679976e17ec0cc4253cbd39d4f933a20a0c"),
+    (3, 5, "0:12", (), 0, "85b86974ecba0eeb14092209c7ff1cdf8f50a58159d13d8ec77120d57b5a7052"),
+    (3, 11, "-40:3", (), 0, "410bb6a7260fa24c7174606ec546f0c3088063c647332149cbd025002018bca1"),
+    (1, 5, "-10:10", ("C5",), 3, "40df669379c809f552f819da6a2b498b305c7de30b9fcc3314c8a78aee303cca"),
+    (1, 5, "-10:10", ("C1",), 3, "553c3fb4c099252ffd6d1b5a97b795bde24de115c22a6bbf710787b1b2739177"),
+    (1, 5, "-10:10", ("C2",), 3, "4e5cdada675c18cb5956db1e364e876cff49642c9e6bfce19835daa87273238f"),
     (1, 7, "-30:30", ("C3",), 3, "876e838d79450def788ebfd693a04c21eb32a0c29341091efc4be9f8ec00e23f"),
-    (2, 5, "-20:20", ("C4",), 3, "29c8dc6a7c8604a525b2355aa05443dba630b3337b2b5b734a8b39651c8472a1"),
-    (2, 5, "-20:20", ("C6",), 3, "37e864ea9eee0cb353ebbade7b35efdb0a19ebc8220637483935ff1979162917"),
+    (2, 5, "-20:20", ("C4",), 3, "9e131351f55b023703ac952a886aa81fd15b37562e1095aefb9d0b9622d6e6a7"),
+    (2, 5, "-20:20", ("C6",), 3, "dfd2fe86307ae8c083dc9ff4f9234637e239de6da081d83909defa01e5092002"),
 ]
 
 
