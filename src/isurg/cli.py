@@ -285,7 +285,7 @@ def _resolve_knot(args):
             return knots.torus_knot(p, q)
         except ValueError as e:
             raise ValueError(f"{e}, got {_shown(spec_str)}")
-    path = args.catalog or os.environ.get(CATALOG_ENV)
+    path = os.environ.get(CATALOG_ENV) if args.catalog is None else args.catalog
     if not path:
         raise ValueError(
             f"--knot {_shown(spec_str)} needs a catalog (--catalog or ${CATALOG_ENV})"
@@ -322,7 +322,7 @@ def cmd_dims(args) -> dict:
             f"more than the limit of {MAX_ITEMS}"
         )
     warnings = []
-    if args.knot:
+    if args.knot is not None:
         k = _resolve_knot(args)
         g = k.genus
         inputs = {"knot": k.name, "genus": g}

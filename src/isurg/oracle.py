@@ -73,13 +73,13 @@ the trace entry or raises, only in a traced solve or for a bound that
 crosses the opposite one.  The tightenings and their order are
 the same either way.
 
-A visit stamps the slopes it changed (n, n+1 through C4, n-1 through C5)
-once, when it ends, with one new tick.  That is exact: the stamps are read
-only by the skip test when a visit begins, no visit begins between a
-change and the end of the visit that made it, so every skip test compares
-as it would with a stamp per tightening.  The C1 seed stamps nothing:
-sweep 1 visits every slope whatever its stamp, and every later skip test
-compares with a visit that began after the seed.
+`solve` keeps one due flag per slope, Apt's set of functions still to
+apply.  Every slope starts due, so the C1 seed needs no argument.  A visit
+to a slope that is not due is skipped; any other visit clears its flag when
+it begins, and when it ends marks due the window of each slope it changed
+(n, n+1 through C4, n-1 through C5).  Marking once, at the end, is exact:
+the flags are read only when a visit begins, and no visit begins between
+a change and the end of the visit that made it.
 
 About one visit in three still finds its slope settled, and two rule
 checks are skipped where no candidate can be tighter than its bound:
@@ -93,9 +93,9 @@ checks are skipped where no candidate can be tighter than its bound:
      Then the upper candidate u + 1 is at least t, and the lower one u - 1
      is at most t; the same holds with t and u swapped.
 
-So a skipped check would change no bound, add no trace entry and move no
-tick; it still counts as an application.  Any other state runs the full
-rule, so a pinned but inconsistent slope or pair still raises
+So a skipped check would change no bound, add no trace entry and mark no
+slope due; it still counts as an application.  Any other state runs the
+full rule, so a pinned but inconsistent slope or pair still raises
 ContradictionError.
 
 C3's upper bounds come only from the total's, as (t.hi -+ |n|) / 2: no
@@ -215,11 +215,6 @@ class ConstraintSystem:
         size = STRIDE * width
         self.lo = [0] * size
         self.hi = [None] * size
-        # Tick of the visit that last changed each slope's bounds, slope n at
-        # n - _lo + 1: one slope past each end, so that every window n-1..n+1
-        # that _apply checks exists.  Only _apply writes these and _tick.
-        self._changed_at = [0] * (self._hi - self._lo + 3)
-        self._tick = 0
 
     @property
     def bounds(self) -> dict:
@@ -229,7 +224,7 @@ class ConstraintSystem:
     # -- bound updates ----------------------------------------------------
     #
     # A rule stores a strictly tighter bound into `lo`/`hi` itself, and its
-    # visit stamps the slope in `_changed_at` when it ends.  Before storing,
+    # visit marks the slope's window due when it ends.  Before storing,
     # the rule calls `_check` when the solve is traced or the new bound
     # crosses the opposite one, and the C1 seed calls it for both of its
     # bounds; it is the only code that appends a TraceEntry or raises
@@ -253,33 +248,32 @@ class ConstraintSystem:
     # constant anchor in C4's triangle sums.
     _S3_TOTAL = 1
 
-    def _apply(self, slopes, c3, c4, c5, c6, visited) -> bool:
+    def _apply(self, slopes, c3, c4, c5, c6, due) -> bool:
         """Visit each slope in turn and apply the flagged constraints among
         C3-C6 there, in that order; returns whether any bound changed.
-        `visited` holds, by slope position, the tick when the last visit
-        began.  A visit counts one application per flagged rule when it
-        starts; its skips, locals and stamps are as the module docstring
-        says, and a ContradictionError leaves it unstamped, ending the solve."""
+        `due` holds slope n's flag at n - _lo + 1: one entry past each end,
+        so that every window n-1..n+1 a visit marks is in the list (a
+        negative index would wrap silently).  A visit counts one
+        application per flagged rule when it starts; its skips, locals and
+        marks are as the module docstring says, and a ContradictionError
+        leaves its window unmarked, ending the solve."""
         lo = self.lo
         hi = self.hi
         traced = self.traced
         check = self._check
-        changed_at = self._changed_at
         s = 2 * self.genus - 1
         first = self._lo
         top = self._hi
         s3 = self._S3_TOTAL
         per_visit = c3 + c4 + c5 + c6
-        start = tick = self._tick
+        changed = False
         applications = self.applications
         try:
             for n in slopes:
                 p = n - first
-                seen = visited[p]
-                # changed_at holds slope n at p + 1
-                if changed_at[p] <= seen and changed_at[p + 1] <= seen and changed_at[p + 2] <= seen:
+                if not due[p + 1]:
                     continue
-                visited[p] = tick
+                due[p + 1] = False
                 applications += per_visit
                 i0 = STRIDE * p  # d0; d1 and the total follow
                 i1 = i0 + 1
@@ -407,18 +401,16 @@ class ConstraintSystem:
                                 check(i0, "lo", v, "C6", ())
                             lo[i0] = l0 = v
                             cn = True
-                if cn or cu or cp:
-                    tick += 1
-                    if cn:
-                        changed_at[p + 1] = tick
-                    if cu:
-                        changed_at[p + 2] = tick
-                    if cp:
-                        changed_at[p] = tick
+                # A changed slope makes due the three slopes whose windows hold it.
+                if cn:
+                    due[p] = due[p + 1] = due[p + 2] = changed = True
+                if cu:
+                    due[p + 1] = due[p + 2] = due[p + 3] = changed = True
+                if cp:
+                    due[p - 1] = due[p] = due[p + 1] = changed = True
         finally:
             self.applications = applications
-            self._tick = tick
-        return tick != start
+        return changed
 
     # -- driver -----------------------------------------------------------
 
@@ -430,8 +422,8 @@ class ConstraintSystem:
     def _seed_base(self):
         """C1, unless dropped: pin the total at the L-space slope m to m; from
         [0, infinity) and m >= 1 both stores tighten and neither crosses.
-        `solve` runs it once, before the first sweep; it moves no tick and
-        stamps no slope (see the module docstring)."""
+        `solve` runs it once, before the first sweep, when every slope is
+        due (see the module docstring)."""
         if "C1" in self.dropped:
             return
         m = self.lspace_slope
@@ -472,10 +464,10 @@ class ConstraintSystem:
         self._seed_base()
         active = self._active()
         order = list(range(self._lo, self._hi + 1))
-        visited = [-1] * len(order)  # tick when the last visit began
+        due = [True] * (len(order) + 2)
         while True:
             self.sweeps += 1
-            if not self._apply(order, *active, visited):
+            if not self._apply(order, *active, due):
                 break
             order.reverse()
         # d0 and d1 of the requested slopes, in slope order.

@@ -11,10 +11,11 @@ import tracemalloc
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isurg import cli, legendrian, oracle, planefield, surgery, triangle
@@ -249,6 +250,29 @@ def test_catalog_flag_without_knot_is_refused_before_it_is_opened(capsys, tmp_pa
     assert (code, out, err) == (0, "n=1  z2_d0=3  z2_d1=2  provenance=eq1\n", "")
     code, out, err = run(capsys, "dims", "--knot", "torus:2,5", "--n", "1")
     assert (code, out, err) == (0, "n=1  z2_d0=3  z2_d1=2  provenance=eq1\n", "")
+
+
+def test_empty_knot_name_is_a_catalog_name(capsys, tmp_path, monkeypatch):
+    # `--knot ''` is given, so it is looked up like any name, not taken for
+    # a missing --knot and then a missing --genus.
+    monkeypatch.delenv(cli.CATALOG_ENV, raising=False)
+    assert run(capsys, "dims", "--knot", "", "--n", "1") == (
+        2, "", "error: --knot '' needs a catalog (--catalog or $ISURG_CATALOG)\n")
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"knots": [torus_knot(2, 3)._asdict()]}))
+    code, out, err = run(capsys, "dims", "--knot", "", "--n", "1", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: knot '' not found in catalog ")
+
+
+def test_empty_catalog_flag_does_not_fall_back_to_the_environment(capsys, tmp_path, monkeypatch):
+    # The flag is a request: an empty one is refused, while the variable
+    # would have found the knot.
+    env_cat = tmp_path / "env.json"
+    env_cat.write_text(json.dumps({"knots": [torus_knot(2, 5)._asdict()]}))
+    monkeypatch.setenv(cli.CATALOG_ENV, str(env_cat))
+    assert run(capsys, "dims", "--knot", "T(2,5)", "--n", "1", "--catalog", "") == (
+        2, "", "error: --knot 'T(2,5)' needs a catalog (--catalog or $ISURG_CATALOG)\n")
 
 
 def test_triangle(capsys):
@@ -1114,3 +1138,85 @@ def test_dims_rows_match_the_dict_row_writer(warning_catalog, fmt, z4, g, by_kno
     _, ref_out, ref_err = _captured(cli._emit, record, fmt)
     assert out == ref_out
     assert err == ref_err
+
+
+# Values for every argument of every subcommand: a well-formed one three
+# draws in four, else a hostile one.  A count a run makes (slopes, rotation
+# numbers, padded oracle slopes) is either small or past its limit, never
+# at one, so no draw computes a million rows.  PAST has more digits than
+# Python's default limit on int text.
+PAST = "9" * 4301
+_POOLS = {
+    cli._int: ([str(v) for v in range(-3, 13)],
+               ["2000000", "-2000000", PAST, "-" + PAST, "x", ""]),
+    cli._parse_range: (["-3:4", "0:0", "-1:-1", "2:9", "-12:12"],
+                       ["5:1", "1:2:3", "a:b", ":", "", "1:", "-2000000:2000000", "0:" + PAST]),
+    "--knot": (["torus:2,3", "torus:3,2", "torus:2,5", "K1", "K2", f"K{HUGE_GENUS}"],
+               ["", "torus:", "torus:2,4", "torus:1,5", "torus:2,3,5", "torus:a,b", "torus:-2,-3",
+                "torus:2," + PAST, "T(2,5)"]),
+    "--catalog": (["<catalog>"], ["", "missing.json"]),
+    "--c1sq": (["1/2", "-1/2", "-3", "0", "2.5", "1e5", "1e-5", "1_000", " 7 "],
+               ["1/0", "1e99999", "1e-99999", "x", "", "nan", "inf", PAST, "1/" + PAST]),
+    "--drop-constraint": (["C1", "C2", "C3", "C4", "C5", "C6"], ["C7", "c3", ""]),
+}
+
+# Legendrian errors echo each int whole, and where Python has no limit on
+# int digits (3.10.6 and older) PAST parses: three such ints and the text.
+_ERR_CHARS = 3 * len(PAST) + 1000
+
+
+def _flag(flag, keywords):
+    """Tokens for one argument: the flag alone, or with a value drawn from
+    its pools, repeated up to twice for an appended one."""
+    if keywords.get("action") == "store_true":
+        return st.just([flag])
+    pools = _POOLS[keywords.get("type", flag)]
+    value = st.integers(0, 3).flatmap(lambda i: st.sampled_from(pools[i == 0]))
+    given_once = value.map(lambda v: [flag, v])
+    if keywords.get("action") == "append":
+        return st.lists(given_once, max_size=2).map(lambda tokens: sum(tokens, []))
+    return given_once
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand of `cli._COMMANDS` in one of the three formats.  A
+    required argument is left out one draw in eight, an optional one in
+    two; a pair of which one is required gives both or neither one draw in
+    eight each."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = ["--format", draw(st.sampled_from(["table", "json", "tsv"])), name]
+    for arg in cli._COMMANDS[name][2]:
+        if type(arg) is list:
+            k = draw(st.integers(0, 7))
+            pairs = arg if k == 7 else [] if k == 6 else [draw(st.sampled_from(arg))]
+        else:
+            pairs = [arg] if draw(st.integers(0, 7 if arg[1].get("required") else 1)) else []
+        for flag, keywords in pairs:
+            argv += draw(_flag(flag, keywords))
+    return argv
+
+
+@given(argv=_argvs(), env=st.sampled_from([None, "", "<catalog>"]))
+@example(argv=["--format", "json", "dims", "--knot", "", "--n", "1"], env=None)
+@example(argv=["--format", "tsv", "oracle", "--genus", "1", "--lspace-slope", "5", "--range", "-3:4",
+               "--drop-constraint", "C6"], env=None)
+@settings(max_examples=300, deadline=None)
+def test_hostile_arguments_end_in_an_exit_code_not_a_traceback(warning_catalog, argv, env):
+    argv = [warning_catalog if token == "<catalog>" else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop(cli.CATALOG_ENV, None)
+        if env is not None:
+            os.environ[cli.CATALOG_ENV] = warning_catalog if env == "<catalog>" else env
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refused an argument
+            code = exc.code
+            assert code == 2
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert len(err) < _ERR_CHARS
+    if code == 3 or (code == 0 and argv[1] == "json"):
+        jsonschema.validate(json.loads(out.getvalue()), SCHEMA)

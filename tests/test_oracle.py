@@ -129,14 +129,14 @@ def test_explain():
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_c1_is_the_starting_state(g):
-    # The seed pins the total at the base slope before the first sweep, moves
-    # no tick and stamps no slope; a solve's trace starts with its two
-    # entries, and no rule names C1 later.
+    # The seed pins the total at the base slope before the first sweep, when
+    # every slope is due; a solve's trace starts with its two entries, and no
+    # rule names C1 later.
     for m in range(2 * g - 1, 2 * g + 31):
         base = [("C1", m, 2, "lo", m, ()), ("C1", m, 2, "hi", m, ())]
         seeded = build_system(g, m, (-3, 3), trace=True)
         seeded._seed_base()
-        assert (seeded.trace, seeded._tick, any(seeded._changed_at)) == (base, 0, False), m
+        assert seeded.trace == base, m
         solved = build_system(g, m, (-3, 3), trace=True)
         solved.solve()
         assert solved.trace[:2] == base, m
@@ -170,8 +170,9 @@ def _rule(system, *cnames):
     """A call that applies the rules `cnames`, among RULES, at one slope in
     one visit: one rule alone, or all of RULES as the fused visit."""
     flags = [c in cnames for c in RULES]
-    # A fresh `visited` of -1s: no visit is skipped.
-    return lambda n: system._apply((n,), *flags, [-1] * (len(system.lo) // oracle.STRIDE))
+    # A fresh `due` list with every slope due: no visit is skipped.
+    width = len(system.lo) // oracle.STRIDE
+    return lambda n: system._apply((n,), *flags, [True] * (width + 2))
 
 
 def _rules(system):
@@ -299,28 +300,32 @@ def _chaotic_fixpoint(system, rng, after_step=lambda cname, n: None):
 
 
 @pytest.mark.parametrize("trace", (False, True))
-def test_each_bound_change_stamps_its_own_slope(trace):
-    # The skip rule trusts these stamps: a change stamped on a neighbouring
-    # slope could skip a visit that has work to do.  Besides each rule
-    # alone, a step runs the fused visit of all four, whose one stamp covers
-    # its changes at n, at n+1 (C4) and at n-1 (C5).
+def test_each_bound_change_marks_its_window_due(trace):
+    # The skip rule trusts these marks: a slope left unmarked next to a
+    # change could skip a visit that has work to do.  Each step starts with
+    # only n due, whose flag the visit clears when it begins; after it, the
+    # due slopes are exactly the windows n-1..n+1 of the slopes it changed.
+    # Besides each rule alone, a step runs the fused visit of all four, which
+    # marks for its changes at n, at n+1 (C4) and at n-1 (C5).
     solved = build_system(2, 5, (-12, 12))
     solved.solve()
     system = build_system(2, 5, (-12, 12), trace=trace)
     system._seed_base()
-    steps = [(c, _rule(system, c)) for c in RULES] + [("fused", _rule(system, *RULES))]
+    steps = [(c, [c == r for r in RULES]) for c in RULES] + [("fused", [True] * len(RULES))]
     slopes = list(range(system._lo, system._hi + 1))
     rng = random.Random(0)
     for _ in range(20000):
         if (system.lo, system.hi) == (solved.lo, solved.hi):
             break
-        n, (cname, step) = rng.choice(slopes), rng.choice(steps)
-        lo, hi, stamps = list(system.lo), list(system.hi), list(system._changed_at)
-        step(n)
+        n, (cname, flags) = rng.choice(slopes), rng.choice(steps)
+        due = [False] * (len(slopes) + 2)  # slope position p at p + 1
+        due[n - system._lo + 1] = True
+        lo, hi = list(system.lo), list(system.hi)
+        system._apply((n,), *flags, due)
         changed = {i // oracle.STRIDE for i, bounds in enumerate(zip(lo, hi))
                    if bounds != (system.lo[i], system.hi[i])}
-        stamped = {q - 1 for q, tick in enumerate(stamps) if tick != system._changed_at[q]}
-        assert stamped == changed, (n, cname)
+        marked = {q - 1 for q, flag in enumerate(due) if flag}
+        assert marked == {p + d for p in changed for d in (-1, 0, 1)}, (n, cname)
     else:
         raise AssertionError("no fixpoint within the step limit")
 

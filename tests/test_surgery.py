@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from isurg import surgery
 from isurg.graded import GradedDimZ2, GradedDimZ4, collapse_z4_to_z2
+from isurg.legendrian import LegendrianRep, distinct_chern_count
 from isurg.surgery import dims_rows, dims_z2, dims_z4, lens_space_dims, trefoil_one_over_n
 from isurg.triangle import triangle_degrees
 
@@ -103,6 +104,18 @@ def test_z4_nonhomogeneity_witness():
     # which only permutes the entries, is at most 1: two independent
     # contact classes cannot both be homogeneous.
     assert max(dims_z4(1, -1).entries()) <= 1
+    # The same at every -k, as arithmetic.  Stabilizing a Legendrian with
+    # tb = 2g-1 and r = 0 down to tb = 1-k gives one Stein filling of -k
+    # surgery per distinct Chern class.  Their contact classes fill Z/2
+    # grading 0, which is Z/4 gradings 0 and 2, and each of those two holds
+    # at least one and at most all but g of them: no one Z/4 grading holds
+    # every class.
+    for g in range(1, 30):
+        for k in range(1, 300):
+            stein = distinct_chern_count(LegendrianRep(2 * g - 1, 0), 1 - k)
+            d0, _, d2, _ = dims_z4(g, -k).entries()
+            assert stein == d0 + d2 == dims_z2(g, -k).entries()[0], (g, k)
+            assert 1 <= min(d0, d2) and max(d0, d2) <= stein - g, (g, k)
 
 
 @pytest.mark.parametrize("g", range(1, 6))
