@@ -16,20 +16,21 @@ range is written one closed-form regime at a time, from one template per
 regime (`_write_rows`).
 
 Exit codes: 0 success; 2 when a `cmd_<name>` raises ValueError, whose
-text is written as `error: <text>`; 3 when it returns a record holding
-`error`, which is written as the JSON report whatever --format says.  A
-ValueError is the library's own refusal of its input, or a check of the
-CLI's: a `dims` range of more than MAX_ITEMS slopes, a `--catalog` given
-with `--genus` or a torus knot (which read no catalog), a `legendrian`
-target tb that gives more than MAX_ITEMS rotation numbers, a `--catalog`
-file of more than MAX_CATALOG_BYTES bytes, or a `--c1sq` whose numerator
-or denominator would pass Python's limit on int digits.  A result holding
-an integer too long for Python to convert to text also exits 2; the part
-of the record already written stays on stdout, in every format, and any
-warning still reaches stderr.  Exit 3 is a mathematical failure: an
-oracle contradiction or undetermined slopes.  A usage error echoes at
-most 40 characters of a bad argument: the first 40, or the last 40 of a
-`--catalog` path.
+text is written as `error: <text>` (one of more than 250 characters as
+its first and last 100 and its length); 3 when it returns a record
+holding `error`, which is written as the JSON report whatever --format
+says.  A ValueError is the library's own refusal of its input, or a
+check of the CLI's: a `dims` range of more than MAX_ITEMS slopes, a
+`--catalog` given with `--genus` or a torus knot (which read no
+catalog), a `legendrian` target tb that gives more than MAX_ITEMS
+rotation numbers, a `--catalog` file of more than MAX_CATALOG_BYTES
+bytes, or a `--c1sq` whose numerator or denominator would pass Python's
+limit on int digits.  A result holding an integer too long for Python to
+convert to text also exits 2; the part of the record already written
+stays on stdout, in every format, and any warning still reaches stderr.
+Exit 3 is a mathematical failure: an oracle contradiction or
+undetermined slopes.  A usage error echoes at most 40 characters of a
+bad argument: the first 40, or the last 40 of a `--catalog` path.
 """
 
 from __future__ import annotations
@@ -328,8 +329,6 @@ def cmd_dims(args) -> dict:
         inputs = {"knot": k.name, "genus": g}
         lens_known = k.lens_surgery
     else:
-        if args.genus < 1:
-            raise ValueError("genus must be >= 1")
         g = args.genus
         inputs = {"genus": g}
         lens_known = False
@@ -576,20 +575,23 @@ def _main(argv) -> int:
         # Looked up now, so that a replaced cmd_<name> is the one that runs.
         record = globals()["cmd_" + args.command](args)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    if "error" in record:  # the exit-3 report is JSON in every format
-        _emit(record, "json")
-        return EXIT_MATH
-    try:
-        _emit(record, args.format)
-    except ValueError as e:  # an int past sys.get_int_max_str_digits()
-        if args.format == "json":  # table and TSV wrote them before the rows
-            for w in record["warnings"]:
-                print(f"warning: {w}", file=sys.stderr)
-        print(f"error: cannot write the result: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        message = str(e)
+    else:
+        if "error" in record:  # the exit-3 report is JSON in every format
+            _emit(record, "json")
+            return EXIT_MATH
+        try:
+            _emit(record, args.format)
+            return EXIT_OK
+        except ValueError as e:  # an int past sys.get_int_max_str_digits()
+            if args.format == "json":  # table and TSV wrote them before the rows
+                for w in record["warnings"]:
+                    print(f"warning: {w}", file=sys.stderr)
+            message = f"cannot write the result: {e}"
+    if len(message) > 250:  # a value echoed whole; the reason ends the text
+        message = f"{message[:100]} ... {message[-100:]} ({len(message)} characters)"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

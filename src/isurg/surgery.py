@@ -55,7 +55,7 @@ def dims_z4(g: int, n: int) -> GradedDimZ4:
 def dims_rows(g: int, slopes: range, z4: bool):
     """The rows (n, z2_d0, z2_d1[, z4_d0..z4_d3]) of `dims_z2` (and, with
     `z4`, `dims_z4`) for each n of `slopes`, a range of step 1, as one
-    `(fixed, rows)` pair per non-empty regime, yielded lazily.
+    `(fixed, rows)` pair per non-empty regime, in a lazy generator.
 
     `fixed` is the regime's row with each entry that does not depend on n
     given as its int and None where it varies; the n = 0 row is all ints.
@@ -64,12 +64,13 @@ def dims_rows(g: int, slopes: range, z4: bool):
     for n <= -1 and for 1 <= n <= h with `z4`, `(n, h - n)` for them
     without, and `()` for n = 0.
 
-    Within a regime every entry is monotone in n, so when the rows at the
-    regime's two ends in `slopes` are valid graded vectors (nonnegative
-    ints), so is every row between them.  Those two rows are built through
-    `dims_z2`/`dims_z4` before the regime is yielded, so a genus below 1
-    raises their ValueError on the first draw.
+    For an int g >= 1 every entry is a nonnegative int: the fixed entries
+    are h, g - 1 and g; for n <= -1 the others are h - n >= h + 1 and halves
+    >= 1; for 1 <= n <= h they are h - n >= 0 and halves >= 0; for n > h
+    they are n, (n + 2) // 2 >= 1 and (n - 1) // 2 >= 0.
     """
+    # Refused here, at the call: the generators below run only when drawn.
+    dims_z2(g, 0)
     h, k = 2 * g - 1, g - 1
     lo, hi = slopes.start, slopes.stop - 1
     # The varying entries of a row below 0 and on 1..h (the halves), and past h.
@@ -79,23 +80,12 @@ def dims_rows(g: int, slopes: range, z4: bool):
     else:
         halves = lambda ns: ((n, h - n) for n in ns)
         lens = lambda ns: ((n, n) for n in ns)
-    for first, last, fixed, rows in ((lo, -1, (None, None, h, None, k, None, g), halves),
-                                     (0, 0, (0, h, h, k, k, g, g), lambda ns: (() for n in ns)),
-                                     (1, h, (None, h, None, g, None, k, None), halves),
-                                     (h + 1, hi, (None, None, 0, None, 0, None, 0), lens)):
-        ns = _checked(g, z4, max(lo, first), min(hi, last))
-        if ns:
-            yield (fixed if z4 else fixed[:3]), rows(ns)
-
-
-def _checked(g: int, z4: bool, a: int, b: int) -> range:
-    """range(a, b + 1), once the graded vectors at a and b are built."""
-    if a <= b:
-        for n in (a, b):
-            dims_z2(g, n)
-            if z4:
-                dims_z4(g, n)
-    return range(a, b + 1)
+    regimes = ((lo, -1, (None, None, h, None, k, None, g), halves),
+               (0, 0, (0, h, h, k, k, g, g), lambda ns: (() for n in ns)),
+               (1, h, (None, h, None, g, None, k, None), halves),
+               (h + 1, hi, (None, None, 0, None, 0, None, 0), lens))
+    spans = ((range(max(lo, a), min(hi, b) + 1), fixed, rows) for a, b, fixed, rows in regimes)
+    return ((fixed if z4 else fixed[:3], rows(ns)) for ns, fixed, rows in spans if ns)
 
 
 def lens_space_dims(n: int) -> GradedDimZ4:

@@ -5,6 +5,7 @@ PASS/FAIL line (run with -s or look at captured output on failure).
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -28,11 +29,18 @@ def report(name, ok):
     assert ok, name
 
 
+def in_time(start, seconds):
+    """Whether the run since `start` took under `seconds`.  Under a line
+    tracer (the line gate, a debugger) each line is slowed several times
+    over, so there the time is not asserted."""
+    return sys.gettrace() is not None or time.monotonic() - start < seconds
+
+
 def test_criterion_1_golden_value():
     start = time.monotonic()
     k = torus_knot(2, 3)
     v = dims_z4(k.genus, -1)
-    ok = v.entries() == (1, 0, 1, 1) and time.monotonic() - start < 1.0
+    ok = v.entries() == (1, 0, 1, 1) and in_time(start, 1.0)
     report("golden value for -1-surgery on the (2,3) torus knot", ok)
 
 
@@ -43,7 +51,7 @@ def test_criterion_2_oracle_equals_closed_form():
         for m in (2 * g - 1, 2 * g, 2 * g + 5):
             solved = solve(g, m, (-30, 30))
             ok = ok and all(solved[n] == dims_z2(g, n) for n in range(-30, 31))
-    ok = ok and time.monotonic() - start < 10.0
+    ok = ok and in_time(start, 10.0)
     report("oracle reproduces the closed form on every tested (g, m)", ok)
 
 
@@ -54,7 +62,7 @@ def test_criterion_3_z4_collapse():
         for g in range(1, 7)
         for n in range(-50, 51)
     )
-    ok = ok and time.monotonic() - start < 1.0
+    ok = ok and in_time(start, 1.0)
     report("Z/4 gradings collapse to the Z/2 gradings", ok)
 
 
@@ -124,7 +132,7 @@ def test_criterion_8_delta_identity_suite():
     ok = ok and delta(FillingData(1, 0, 0)) == 0
     ok = ok and delta(FillingData(0, 0, 3)) == 1
     ok = ok and delta(FillingData(3, 0, 0)) == 1
-    ok = ok and time.monotonic() - start < 1.0
+    ok = ok and in_time(start, 1.0)
     report("plane-field parity identity holds on 10^4 random tuples", ok)
 
 

@@ -5,9 +5,11 @@ import fractions
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -649,6 +651,29 @@ def test_short_torus_spec_is_echoed_whole(capsys):
     assert err == "error: torus knot parameters must be coprime, got 'torus:4,6'\n"
 
 
+def _cut(text):
+    return f"{text[:100]} ... {text[-100:]} ({len(text)} characters)"
+
+
+def test_long_library_error_keeps_its_head_and_its_reason(capsys):
+    # legendrian echoes the parsed int whole.
+    nines = "9" * 4300
+    code, out, err = run(capsys, "legendrian", "--tb", "1", "--rot", "0", "--target-tb", nines)
+    assert (code, out) == (2, "")
+    assert err == f"error: {_cut(f'target_tb {nines} exceeds tb 1')}\n"
+
+
+def test_long_catalog_name_in_an_error_is_cut(capsys, tmp_path):
+    path = tmp_path / "cat.json"
+    name = "x" * 300000
+    path.write_text(json.dumps({"knots": [{"name": name, "genus": 0, "max_self_linking": 1}]}))
+    code, out, err = run(capsys, "dims", "--knot", "k", "--n", "1", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    text = f"catalog {cli._shown(str(path), tail=True)}: knots[0] ({name}): genus must be >= 1"
+    assert err == f"error: {_cut(text)}\n"
+    assert len(err) < 300
+
+
 def test_catalog_past_the_byte_limit_exits_2(capsys, tmp_path):
     # A valid catalog padded with spaces is read at exactly the limit and
     # refused one byte past it, before it is decoded or parsed.
@@ -848,6 +873,32 @@ def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["isurg", "trefoil", "--n", "3"])
     assert cli.main() == 0
     assert capsys.readouterr() == ("n=3  z2_d0=3  z2_d1=2  provenance=prop61\n", "")
+
+
+def test_a_closed_stdout_ends_the_run_with_exit_0(monkeypatch, tmp_path):
+    # In process, the stdout that main points at devnull is a file of the test's.
+    path = tmp_path / "out"
+    with open(path, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+
+        def closed(argv):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(cli, "_main", closed)
+        assert cli.main(["trefoil", "--n", "3"]) == 0
+        out.write("buffered after the pipe closed\n")
+    assert path.read_text() == ""
+
+
+def test_running_the_module_exits_with_main_s_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["isurg", "trefoil", "--n", "0"])
+    with warnings.catch_warnings():
+        # runpy warns that isurg.cli is already imported; it runs a fresh copy.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("isurg.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: n must be >= 1\n")
 
 
 def test_dims_imports_only_what_it_computes_with():
@@ -1160,9 +1211,9 @@ _POOLS = {
     "--drop-constraint": (["C1", "C2", "C3", "C4", "C5", "C6"], ["C7", "c3", ""]),
 }
 
-# Legendrian errors echo each int whole, and where Python has no limit on
-# int digits (3.10.6 and older) PAST parses: three such ints and the text.
-_ERR_CHARS = 3 * len(PAST) + 1000
+# An error line shows at most about 250 characters of its text, and
+# argparse's usage message a few hundred, however long the input.
+_ERR_CHARS = 1000
 
 
 def _flag(flag, keywords):
@@ -1220,3 +1271,73 @@ def test_hostile_arguments_end_in_an_exit_code_not_a_traceback(warning_catalog, 
     assert len(err) < _ERR_CHARS
     if code == 3 or (code == 0 and argv[1] == "json"):
         jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
+
+
+@st.composite
+def _valid_argvs(draw):
+    """The arguments, without --format, of a subcommand run that exits 0."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    small = lambda lo, hi: draw(st.integers(lo, hi))
+    lo, width = small(-8, 10), small(0, 12)
+    if name == "dims":
+        who = draw(st.sampled_from([["--genus", str(small(1, 4))], ["--knot", "torus:2,3"],
+                                    ["--knot", "torus:2,5"], ["--knot", "torus:3,4"]]))
+        where = draw(st.sampled_from([["--n", str(lo)], ["--range", f"{lo}:{lo + width}"]]))
+        return ["dims", *who, *where] + ["--z4"] * draw(st.booleans())
+    if name == "oracle":
+        g = small(1, 3)
+        return (["oracle", "--genus", str(g), "--lspace-slope", str(2 * g - 1 + small(0, 4)),
+                 "--range", f"{lo}:{lo + width}"] + ["--trace"] * draw(st.booleans()))
+    if name == "legendrian":
+        tb = small(-5, 5)
+        rot = 2 * small(-3, 3) + (tb + 1) % 2
+        return ["legendrian", "--tb", str(tb), "--rot", str(rot), "--target-tb", str(tb - small(0, 6))]
+    if name == "planefield":
+        chi, b1 = small(-6, 6), small(0, 3)
+        sigma = 2 * small(-3, 3) + (chi + b1 + 1) % 2
+        c1sq = draw(st.sampled_from([[], ["--c1sq", "1/2"], ["--c1sq", "-3"], ["--c1sq", "2.5"]]))
+        return ["planefield", "--chi", str(chi), "--sigma", str(sigma), "--b1", str(b1), *c1sq]
+    return [name, "--n", str(small(-6, 6) if name == "triangle" else small(1, 9))]
+
+
+def _cells(fmt, out):
+    """The result rows of `out` as dicts of column to text, empty cells
+    left out; a `z2`/`z4` list is one column per grading, another list its
+    items joined by commas.  Trace lines are not rows."""
+    if fmt == "json":
+        rows = []
+        for res in json.loads(out)["results"]:
+            row = {}
+            for k, v in res.items():
+                if k in ("z2", "z4"):
+                    row.update({f"{k}_d{i}": str(x) for i, x in enumerate(v)})
+                elif type(v) is bool:
+                    row[k] = "true" if v else "false"
+                elif v is not None:
+                    row[k] = ",".join(map(str, v)) if type(v) is list else str(v)
+            rows.append({k: v for k, v in row.items() if v})
+        return rows
+    lines = [line for line in out.splitlines() if not line.startswith("trace: ")]
+    if fmt == "tsv":
+        cols = lines.pop(0).split("\t")
+        return [{k: v for k, v in zip(cols, line.split("\t")) if v} for line in lines]
+    return [{k: v for k, _, v in (cell.partition("=") for cell in line.split("  ")) if v}
+            for line in lines]
+
+
+@given(argv=_valid_argvs())
+@settings(max_examples=300, deadline=None)
+def test_table_tsv_and_json_hold_the_same_rows(argv):
+    runs = {}
+    for fmt in ("table", "tsv", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["--format", fmt, *argv]) == 0
+        runs[fmt] = out.getvalue(), err.getvalue()
+    rows = _cells("json", runs["json"][0])
+    assert rows
+    warnings = "".join(f"warning: {w}\n" for w in json.loads(runs["json"][0])["warnings"])
+    for fmt in ("table", "tsv"):
+        assert _cells(fmt, runs[fmt][0]) == rows
+        assert runs[fmt][1] == warnings
+    assert runs["json"][1] == ""

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from isurg import surgery
 from isurg.graded import GradedDimZ2, GradedDimZ4, collapse_z4_to_z2
 from isurg.legendrian import LegendrianRep, distinct_chern_count
 from isurg.surgery import dims_rows, dims_z2, dims_z4, lens_space_dims, trefoil_one_over_n
@@ -190,41 +189,13 @@ def test_dims_rows_are_lazy_within_a_regime():
     assert next(rows) == _row(2, -10**12 + 1, True)
 
 
+@pytest.mark.parametrize("slopes", [range(-2, 3), range(0, 0)], ids=["range", "empty"])
 @pytest.mark.parametrize("g", [0, -3])
-def test_dims_rows_refuse_a_bad_genus_on_the_first_draw(g):
-    regimes = dims_rows(g, range(-2, 3), False)
+def test_dims_rows_refuse_a_bad_genus_at_the_call(g, slopes):
     with pytest.raises(ValueError, match="genus must be >= 1"):
-        next(regimes)
+        dims_rows(g, slopes, False)
 
 
-@pytest.mark.parametrize("z4", [False, True])
-def test_dims_rows_build_the_end_rows_of_each_regime(monkeypatch, z4):
-    built = {"dims_z2": [], "dims_z4": []}
-
-    def recorded(name):
-        closed_form = getattr(surgery, name)
-
-        def build(g, n):
-            built[name].append(n)
-            return closed_form(g, n)
-
-        return build
-
-    for name in built:
-        monkeypatch.setattr(surgery, name, recorded(name))
-    first = next(dims_rows(2, range(-3, 7), z4))
-    # Only the first regime's ends are built before it is yielded.
-    assert built["dims_z2"] == [-3, -1]
-    assert next(_flat([first])) == _row(2, -3, z4)
-    list(dims_rows(2, range(-3, 7), z4))
-    # -3..-1, 0, 1..3 and 4..6; a one-slope regime is built twice.
-    assert sorted(set(built["dims_z2"])) == [-3, -1, 0, 1, 3, 4, 6]
-    assert sorted(set(built["dims_z4"])) == ([-3, -1, 0, 1, 3, 4, 6] if z4 else [])
-
-
-def test_dims_rows_check_the_end_rows_of_each_regime():
-    # A genus that is not an int gives entries that are not ints; the
-    # graded vector built at a regime's end refuses them before any row.
-    regimes = dims_rows(2.5, range(3, 6), False)
+def test_dims_rows_refuse_a_genus_whose_rows_are_not_ints():
     with pytest.raises(ValueError, match="d0 must be a nonnegative integer, got 4.0"):
-        next(regimes)
+        dims_rows(2.5, range(3, 6), False)
