@@ -40,63 +40,62 @@ the range [-R, R].  Alternating sweeps carry each chain end to end in one
 pass.
 
 Most visits in the later sweeps would change nothing, and the solver skips
-them: every rule at slope n reads and writes only slopes n-1..n+1,
-so a visit to n is skipped when no bound in that window changed since the
-previous visit to n began (Apt's chaotic iteration re-applies only
-functions whose inputs changed).  Bounds, trace, sweeps and contradictions
-are exactly those of the unskipped sweeps.
+them.  A store wakes only the visits whose rules read the changed bound,
+and not an idempotent rule for its own writes (Apt's chaotic iteration;
+Schulte and Stuckey, "Efficient constraint propagation engines", 2008).
+d0 and d1 at n are read only by C3 and C6 at n; the total at n by C3, C4
+and C5 at n, by C4 at n-1 and by C5 at n+1; later rules in a visit read
+its locals.  C4 and C5 at n are idempotent on their own neighbour writes.
+So a store by C4, C5 or C6 at n marks n-1..n+1 due, C4's into the total at
+n+1 marks n+1 and n+2, C5's into the total at n-1 marks n-2 and n-1, and
+C3's six stores mark nothing.  No compared solve needs C4's n+2 or the
+window's n+1, but no argument yet shows that none does.
+
+C3 need not mark: one C3 application reaches C3's own fixpoint, and C6
+reads d0 after it.  With C3 active, every positive total lower bound a
+solve stores has the parity of |n| (C1 stores m at m, C3 2*d1.lo + |n|,
+and C4 and C5 step +-1 from a neighbour that the ascending first sweep has
+visited), so C3's halves of t.lo are exact.  On the states a solve
+reaches, C3 raises a total's lower bound, read by C4 at n-1 and C5 at n+1,
+only at the slope's first visit, to |n|, when every higher slope is still
+due and C4 at n-1 gets |n| - 1 <= |n-1|, which C3 there has stored; or at
+the visit after C6 raised d0.lo at n < 0, when C5 is off at n+1 <= 0 and
+n-1 is still due from that C6 store's mark.  So bounds, trace, sweeps and
+contradictions are exactly those of the unskipped sweeps.
 
 The work is affine in the range.  Measured (g 1..6, m 2g-1..2g+30, ranges
-[lo, hi] with lo <= -1 and hi >= m; tests/test_oracle.py), one slope more
-below lo and one more above hi add these applications and trace entries,
-and a solve takes the sweeps shown:
+[lo, hi] with lo <= -1 and hi >= m; tests/test_oracle.py), a solve makes
+c - b*lo + a*hi applications in the sweeps shown, e = 1 if m = 2g - 1 and
+0 otherwise; one slope more below lo (above hi) adds b (a) of them and
+the trace entries shown:
 
-  drop      below lo   above hi        sweeps
-  none      16, 8      8, 6            4
-  C1        12, 5      8, 3            4
-  C2, C4     9, 5      9, 5            3
-  C3         9, 2      6, 2 or 3       3
-  C5        12, 8      6, 6            4
-  C6        12, 5      6, 6            4
+  drop      c                   below lo   above hi    sweeps
+  none      36 + 8g + 4m        12, 8      4, 6        4
+  C1        28 + 8g              8, 5      4, 3        4
+  C2, C4    36 - 6g - 3e         6, 5      6, 5        3
+  C3        36 + 6g - 3e         9, 2      6, 2 or 3   3
+  C5        27 + 6m + 3e         9, 8      3, 6        4
+  C6        27 + 6g + 3m - 3e    9, 5      3, 6        4
 
-Without drops the constant is measured too: 56 + 8g + 4m - 16 lo + 8 hi
-applications, and 35 + 6g + 6m - max(0, 2g+1-m) + 8(-1-lo) + 6(hi-m) trace
-entries, plus 1 when g = 1 and m <= 2.
+Without drops the trace length is measured too: 35 + 6g + 6m -
+max(0, 2g+1-m) + 8(-1-lo) + 6(hi-m) entries, plus 1 when g = 1 and m <= 2.
 
 A visit applies C3, C4, C5 and C6 at its slope, in that order, in one loop
 body (`_apply`) that states each rule once.  Most candidate bounds a rule
-computes are no tighter than the bound already there (about four in five
+computes are no tighter than the bound already there (about two in three
 over a typical solve), so only a strictly tighter one is stored.  The
 visit holds the bounds it works on in locals, and the rule stores a new
 bound into `lo`/`hi` and the local alike; it calls `_check`, which appends
 the trace entry or raises, only in a traced solve or for a bound that
-crosses the opposite one.  The tightenings and their order are
-the same either way.
+crosses the opposite one.  The tightenings and their order are the same
+either way.
 
 `solve` keeps one due flag per slope, Apt's set of functions still to
-apply.  Every slope starts due, so the C1 seed needs no argument.  A visit
-to a slope that is not due is skipped; any other visit clears its flag when
-it begins, and when it ends marks due the window of each slope it changed
-(n, n+1 through C4, n-1 through C5).  Marking once, at the end, is exact:
-the flags are read only when a visit begins, and no visit begins between
-a change and the end of the visit that made it.
-
-About one visit in three still finds its slope settled, and two rule
-checks are skipped where no candidate can be tighter than its bound:
-
-  C3 at slope n, when d0, d1 and the total are pinned at a, b and t with
-     a = b + |n| and t = a + b.  Then t = 2b + |n| = 2a - |n|, and each of
-     the rule's six candidates (d0 - |n| and 2*d1 + |n| at lo, and the
-     halves (t -+ |n|) / 2 at lo and at hi) equals the a, b or t it is
-     compared with.
-  C4 at (n, n+1), when both totals are pinned at t and u with |t - u| <= 1.
-     Then the upper candidate u + 1 is at least t, and the lower one u - 1
-     is at most t; the same holds with t and u swapped.
-
-So a skipped check would change no bound, add no trace entry and mark no
-slope due; it still counts as an application.  Any other state runs the
-full rule, so a pinned but inconsistent slope or pair still raises
-ContradictionError.
+apply; every slope starts due, so the C1 seed needs no argument.  A visit
+runs only at a due slope, clears its flag when it begins, and marks the
+slopes its stores wake when it ends.  Marking once, at the end, is exact:
+the flags are read only when a visit begins, and no visit begins between a
+change and the end of the visit that made it.
 
 C3's upper bounds come only from the total's, as (t.hi -+ |n|) / 2: no
 state a solve reaches lets d1.hi + |n|, d0.hi - |n| or 2*d1.hi + |n|
@@ -224,10 +223,10 @@ class ConstraintSystem:
     # -- bound updates ----------------------------------------------------
     #
     # A rule stores a strictly tighter bound into `lo`/`hi` itself, and its
-    # visit marks the slope's window due when it ends.  Before storing,
+    # visit marks due the visits that read it when it ends.  Before storing,
     # the rule calls `_check` when the solve is traced or the new bound
-    # crosses the opposite one, and the C1 seed calls it for both of its
-    # bounds; it is the only code that appends a TraceEntry or raises
+    # crosses the opposite one, and the C1 seed calls it for each bound it
+    # stores; it is the only code that appends a TraceEntry or raises
     # ContradictionError.  It takes a flat index into `lo`/`hi`, whose
     # entries are current at every call, and the bound ("lo" or "hi") that
     # `value` would replace.  A lower bound is never negative, so
@@ -252,11 +251,11 @@ class ConstraintSystem:
         """Visit each slope in turn and apply the flagged constraints among
         C3-C6 there, in that order; returns whether any bound changed.
         `due` holds slope n's flag at n - _lo + 1: one entry past each end,
-        so that every window n-1..n+1 a visit marks is in the list (a
+        so that every slope n-2..n+2 a visit marks is in the list (a
         negative index would wrap silently).  A visit counts one
-        application per flagged rule when it starts; its skips, locals and
-        marks are as the module docstring says, and a ContradictionError
-        leaves its window unmarked, ending the solve."""
+        application per flagged rule when it starts, and when it ends marks
+        due the visits that read what it stored (module docstring); a
+        ContradictionError leaves them unmarked, ending the solve."""
         lo = self.lo
         hi = self.hi
         traced = self.traced
@@ -278,90 +277,88 @@ class ConstraintSystem:
                 i0 = STRIDE * p  # d0; d1 and the total follow
                 i1 = i0 + 1
                 it = i0 + TOTAL
-                # Bounds of d0, d1 and the total at n; whether n, n+1, n-1 changed.
+                # d0, d1 and total bounds at n; whether C4-C6 stored at n, C4 at n+1, C5 at n-1.
                 l0, l1, lt = lo[i0], lo[i1], lo[it]
                 h0, h1, ht = hi[i0], hi[i1], hi[it]
                 cn = cu = cp = False
                 if c3:
                     k = abs(n)
-                    if not (h0 == l0 and h1 == l1 and ht == lt and l0 == l1 + k and lt == l0 + l1):
-                        # euler coupling d0 = d1 + k; d0.lo and upper bounds from the total
-                        v = l0 - k
-                        if v > l1:
-                            if traced or (h1 is not None and v > h1):
-                                check(i1, "lo", v, "C3", (n,))
-                            lo[i1] = l1 = v
-                            cn = True
-                        # total = 2*d1 + k = 2*d0 - k
-                        v = 2 * l1 + k
-                        if v > lt:
-                            if traced or (ht is not None and v > ht):
-                                check(it, "lo", v, "C3", (n,))
-                            lo[it] = lt = v
-                            cn = True
-                        v = -((k - lt) // 2)  # ceil((t.lo - k) / 2)
-                        if v > l1:
-                            if traced or (h1 is not None and v > h1):
-                                check(i1, "lo", v, "C3", (n,))
-                            lo[i1] = l1 = v
-                            cn = True
-                        # (t.hi - k) // 2 needs no max(., 0): the step from 2*d1 + k
-                        # left lo[it] >= k, and a store that would cross raises, so
-                        # hi[it] >= lo[it] >= k.
-                        if ht is not None:
-                            v = (ht - k) // 2
-                            if h1 is None or v < h1:
-                                if traced or v < l1:
-                                    check(i1, "hi", v, "C3", (n,))
-                                hi[i1] = h1 = v
-                                cn = True
-                        v = -((-lt - k) // 2)  # ceil((t.lo + k) / 2)
-                        if v > l0:
-                            if traced or (h0 is not None and v > h0):
-                                check(i0, "lo", v, "C3", (n,))
-                            lo[i0] = l0 = v
-                            cn = True
-                        if ht is not None:
-                            v = (ht + k) // 2
-                            if h0 is None or v < h0:
-                                if traced or v < l0:
-                                    check(i0, "hi", v, "C3", (n,))
-                                hi[i0] = h0 = v
-                                cn = True
+                    # euler coupling d0 = d1 + k; d0.lo and upper bounds from the total
+                    v = l0 - k
+                    if v > l1:
+                        if traced or (h1 is not None and v > h1):
+                            check(i1, "lo", v, "C3", (n,))
+                        lo[i1] = l1 = v
+                        changed = True
+                    # total = 2*d1 + k = 2*d0 - k
+                    v = 2 * l1 + k
+                    if v > lt:
+                        if traced or (ht is not None and v > ht):
+                            check(it, "lo", v, "C3", (n,))
+                        lo[it] = lt = v
+                        changed = True
+                    v = -((k - lt) // 2)  # ceil((t.lo - k) / 2)
+                    if v > l1:
+                        if traced or (h1 is not None and v > h1):
+                            check(i1, "lo", v, "C3", (n,))
+                        lo[i1] = l1 = v
+                        changed = True
+                    # (t.hi - k) // 2 needs no max(., 0): the step from 2*d1 + k
+                    # left lo[it] >= k, and a store that would cross raises, so
+                    # hi[it] >= lo[it] >= k.
+                    if ht is not None:
+                        v = (ht - k) // 2
+                        if h1 is None or v < h1:
+                            if traced or v < l1:
+                                check(i1, "hi", v, "C3", (n,))
+                            hi[i1] = h1 = v
+                            changed = True
+                    v = -((-lt - k) // 2)  # ceil((t.lo + k) / 2)
+                    if v > l0:
+                        if traced or (h0 is not None and v > h0):
+                            check(i0, "lo", v, "C3", (n,))
+                        lo[i0] = l0 = v
+                        changed = True
+                    if ht is not None:
+                        v = (ht + k) // 2
+                        if h0 is None or v < h0:
+                            if traced or v < l0:
+                                check(i0, "hi", v, "C3", (n,))
+                            hi[i0] = h0 = v
+                            changed = True
                 if c4:
                     # Triangle (infinity, n, n+1): each total <= sum of the others.
                     if n < top:
                         iu = it + STRIDE
                         lu, hu = lo[iu], hi[iu]
-                        if not (ht == lt and hu == lu and -s3 <= lt - lu <= s3):
-                            # The total at n from the total at n+1 ...
-                            if hu is not None:
-                                v = hu + s3
-                                if ht is None or v < ht:
-                                    if traced or v < lt:
-                                        check(it, "hi", v, "C4", (n + 1, "inf"))
-                                    hi[it] = ht = v
-                                    cn = True
-                            v = lu - s3
-                            if v > lt:
-                                if traced or (ht is not None and v > ht):
-                                    check(it, "lo", v, "C4", (n + 1, "inf"))
-                                lo[it] = lt = v
+                        # The total at n from the total at n+1 ...
+                        if hu is not None:
+                            v = hu + s3
+                            if ht is None or v < ht:
+                                if traced or v < lt:
+                                    check(it, "hi", v, "C4", (n + 1, "inf"))
+                                hi[it] = ht = v
                                 cn = True
-                            # ... then the total at n+1 from the total at n.
-                            if ht is not None:
-                                v = ht + s3
-                                if hu is None or v < hu:
-                                    if traced or v < lu:
-                                        check(iu, "hi", v, "C4", (n, "inf"))
-                                    hi[iu] = hu = v
-                                    cu = True
-                            v = lt - s3
-                            if v > lu:
-                                if traced or (hu is not None and v > hu):
-                                    check(iu, "lo", v, "C4", (n, "inf"))
-                                lo[iu] = lu = v
+                        v = lu - s3
+                        if v > lt:
+                            if traced or (ht is not None and v > ht):
+                                check(it, "lo", v, "C4", (n + 1, "inf"))
+                            lo[it] = lt = v
+                            cn = True
+                        # ... then the total at n+1 from the total at n.
+                        if ht is not None:
+                            v = ht + s3
+                            if hu is None or v < hu:
+                                if traced or v < lu:
+                                    check(iu, "hi", v, "C4", (n, "inf"))
+                                hi[iu] = hu = v
                                 cu = True
+                        v = lt - s3
+                        if v > lu:
+                            if traced or (hu is not None and v > hu):
+                                check(iu, "lo", v, "C4", (n, "inf"))
+                            lo[iu] = lu = v
+                            cu = True
                 if c5:
                     # Adjunction: total(n) = total(n-1) + 1 once n - 1 >= 2g - 1 > 0.
                     if n > s:
@@ -401,13 +398,13 @@ class ConstraintSystem:
                                 check(i0, "lo", v, "C6", ())
                             lo[i0] = l0 = v
                             cn = True
-                # A changed slope makes due the three slopes whose windows hold it.
+                # Each changed total or d0 makes due the visits that read it.
                 if cn:
                     due[p] = due[p + 1] = due[p + 2] = changed = True
                 if cu:
-                    due[p + 1] = due[p + 2] = due[p + 3] = changed = True
+                    due[p + 2] = due[p + 3] = changed = True
                 if cp:
-                    due[p - 1] = due[p] = due[p + 1] = changed = True
+                    due[p - 1] = due[p] = changed = True
         finally:
             self.applications = applications
         return changed
@@ -420,17 +417,20 @@ class ConstraintSystem:
         return tuple(cname not in dropped for cname in ("C3", "C4", "C5", "C6"))
 
     def _seed_base(self):
-        """C1, unless dropped: pin the total at the L-space slope m to m; from
-        [0, infinity) and m >= 1 both stores tighten and neither crosses.
-        `solve` runs it once, before the first sweep, when every slope is
-        due (see the module docstring)."""
+        """C1, unless dropped: pin the total at the L-space slope m to m.  Like
+        every rule it stores only a strict tightening: both bounds on a fresh
+        system, neither on a solved one.  `solve` runs it before the first
+        sweep, when every slope is due (see the module docstring)."""
         if "C1" in self.dropped:
             return
         m = self.lspace_slope
         i = STRIDE * (m - self._lo) + TOTAL
-        self._check(i, "lo", m, "C1", ())
-        self._check(i, "hi", m, "C1", ())
-        self.lo[i] = self.hi[i] = m
+        if m > self.lo[i]:
+            self._check(i, "lo", m, "C1", ())
+            self.lo[i] = m
+        if self.hi[i] is None or m < self.hi[i]:
+            self._check(i, "hi", m, "C1", ())
+            self.hi[i] = m
 
     def solve(self) -> dict:
         """Propagate to a fixpoint; returns {slope: GradedDimZ2} over the
@@ -439,7 +439,7 @@ class ConstraintSystem:
 
         Each sweep is one `_apply` call, one fused C3-C6 visit per slope;
         the sweeps alternate direction, ascending first, and skip the visits
-        whose window has not changed (see the module docstring).
+        that no store of a bound they read has marked due (module docstring).
         `applications` counts the applications that ran, `sweeps` the
         sweeps, including the last one that changed nothing.
 

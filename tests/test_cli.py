@@ -1,10 +1,12 @@
 import argparse
+import ast
 import contextlib
 import errno
 import fractions
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -1300,13 +1302,18 @@ def _valid_argvs(draw):
     return [name, "--n", str(small(-6, 6) if name == "triangle" else small(1, 9))]
 
 
+_TRACE_LINE = re.compile(r"trace: (C\d) slope=(-?\d+) d(\d)\.(lo|hi)=(\d+) consumed=(\[.*\])")
+
+
 def _cells(fmt, out):
     """The result rows of `out` as dicts of column to text, empty cells
-    left out; a `z2`/`z4` list is one column per grading, another list its
-    items joined by commas.  Trace lines are not rows."""
+    left out, and its trace entries as JSON holds them.  A `z2`/`z4` list is
+    one column per grading, another list its items joined by commas.  A
+    trace line is not a row; its fields are parsed back to their types."""
     if fmt == "json":
+        record = json.loads(out)
         rows = []
-        for res in json.loads(out)["results"]:
+        for res in record["results"]:
             row = {}
             for k, v in res.items():
                 if k in ("z2", "z4"):
@@ -1316,13 +1323,20 @@ def _cells(fmt, out):
                 elif v is not None:
                     row[k] = ",".join(map(str, v)) if type(v) is list else str(v)
             rows.append({k: v for k, v in row.items() if v})
-        return rows
-    lines = [line for line in out.splitlines() if not line.startswith("trace: ")]
+        return rows, record.get("trace", [])
+    lines, trace = [], []
+    for line in out.splitlines():
+        if not line.startswith("trace: "):
+            lines.append(line)
+            continue
+        constraint, slope, grading, bound, value, consumed = _TRACE_LINE.fullmatch(line).groups()
+        trace.append({"constraint": constraint, "slope": int(slope), "grading": int(grading), "bound": bound,
+                      "value": int(value), "consumed": ast.literal_eval(consumed)})
     if fmt == "tsv":
         cols = lines.pop(0).split("\t")
-        return [{k: v for k, v in zip(cols, line.split("\t")) if v} for line in lines]
+        return [{k: v for k, v in zip(cols, line.split("\t")) if v} for line in lines], trace
     return [{k: v for k, _, v in (cell.partition("=") for cell in line.split("  ")) if v}
-            for line in lines]
+            for line in lines], trace
 
 
 @given(argv=_valid_argvs())
@@ -1334,10 +1348,11 @@ def test_table_tsv_and_json_hold_the_same_rows(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert cli.main(["--format", fmt, *argv]) == 0
         runs[fmt] = out.getvalue(), err.getvalue()
-    rows = _cells("json", runs["json"][0])
+    rows, trace = _cells("json", runs["json"][0])
     assert rows
+    assert bool(trace) == ("--trace" in argv)
     warnings = "".join(f"warning: {w}\n" for w in json.loads(runs["json"][0])["warnings"])
     for fmt in ("table", "tsv"):
-        assert _cells(fmt, runs[fmt][0]) == rows
+        assert _cells(fmt, runs[fmt][0]) == (rows, trace)
         assert runs[fmt][1] == warnings
     assert runs["json"][1] == ""
