@@ -32,63 +32,84 @@ C2 switches C4 off as well.
 Every rule only narrows intervals, so propagation reaches the same
 fixpoint whatever order the rules are applied in (Apt, "The essence
 of constraint propagation", 1999).  The solver is free to pick the order
-for speed: it sweeps the slopes upward, then downward, and so on.  C4 and
-C5 carry bounds between neighbouring slopes in both directions, so a
-one-way sweep moves information against its own direction by only one
-slope per sweep and needs about (m + R) sweeps, O(R^2) applications, on
-the range [-R, R].  Alternating sweeps carry each chain end to end in one
-pass.
+for speed.  Its first sweep runs outward from the base slope m: down from
+m to the low end, then up from m + 1.  In that pass C1's pin at m carries
+the upper bounds down to the low end, while C6 and C3 set the lower bounds
+there.  Each later sweep is the reverse of the one before.  C4 and C5
+carry bounds between neighbouring slopes in both directions, so a one-way
+sweep moves information against its own direction by only one slope per
+sweep and needs about (m + R) sweeps, O(R^2) applications, on the range
+[-R, R].  Alternating sweeps carry each chain end to end in one pass.
+
+A visit applies, at its slope n and in this order: C6; C3's step from d0
+and d1 (d1.lo <- d0.lo - |n|, then t.lo <- 2*d1.lo + |n|); C4; C5; and
+C3's halves of the total, which set d1 and d0 from (t -+ |n|) / 2.
 
 Most visits in the later sweeps would change nothing, and the solver skips
-them.  A store wakes only the visits whose rules read the changed bound,
-and not an idempotent rule for its own writes (Apt's chaotic iteration;
-Schulte and Stuckey, "Efficient constraint propagation engines", 2008).
-d0 and d1 at n are read only by C3 and C6 at n; the total at n by C3, C4
+them.  A store marks due only the visits whose rules read the changed
+bound and have not yet run on it, and not an idempotent rule for its own
+writes (Apt's chaotic iteration; Schulte and Stuckey, "Efficient
+constraint propagation engines", 2008).  d0 and d1 at n are read only by
+C3's step at n (C6 proposes a constant); the total at n by C3's halves, C4
 and C5 at n, by C4 at n-1 and by C5 at n+1; later rules in a visit read
 its locals.  C4 and C5 at n are idempotent on their own neighbour writes.
-So a store by C4, C5 or C6 at n marks n-1..n+1 due, C4's into the total at
-n+1 marks n+1 and n+2, C5's into the total at n-1 marks n-2 and n-1, and
-C3's six stores mark nothing.  No compared solve needs C4's n+2 or the
-window's n+1, but no argument yet shows that none does.
+So C6's and C3's stores mark nothing; C4's into the total at n marks n-1,
+and n+1 only where C5 is active there (n+1 > 2g-1), since C3's halves and
+C5 at n run after it; C5's into the total at n marks n-1..n+1, n because
+C4 at n ran before it; C4's into the total at n+1 marks n+1 and n+2, and
+C5's into the total at n-1 marks n-2 and n-1.  Each mark follows a read.
+C4's n+1 mark is needed: without it, g 1, m 3, [-30, 30] with C1 and C3
+dropped ends on lower bounds than its unskipped sweeps.
 
-C3 need not mark: one C3 application reaches C3's own fixpoint, and C6
-reads d0 after it.  With C3 active, every positive total lower bound a
-solve stores has the parity of |n| (C1 stores m at m, C3 2*d1.lo + |n|,
-and C4 and C5 step +-1 from a neighbour that the ascending first sweep has
-visited), so C3's halves of t.lo are exact.  On the states a solve
-reaches, C3 raises a total's lower bound, read by C4 at n-1 and C5 at n+1,
-only at the slope's first visit, to |n|, when every higher slope is still
-due and C4 at n-1 gets |n| - 1 <= |n-1|, which C3 there has stored; or at
-the visit after C6 raised d0.lo at n < 0, when C5 is off at n+1 <= 0 and
-n-1 is still due from that C6 store's mark.  So bounds, trace, sweeps and
-contradictions are exactly those of the unskipped sweeps.
+C3 need not mark.  Its halves write d0 and d1, which only C3's step at n
+reads, and after the halves the step finds nothing: they leave d1.lo >=
+d0.lo - |n|, and 2*d1.lo + |n| = t.lo when they raised d1.lo, for with C3
+active every positive total lower bound has the parity of |n| (C1 stores
+m at m, C3 2*d1.lo + |n|, and C4 and C5 step +-1 from a neighbour, whose
+|n| differs by 1).  So the step stores only at a slope's first visit, in
+the first sweep, from d1.lo = 0 or from the d0.lo that C6 stores then: a
+total lower bound of |n|, or 2s + |n| below 0, s = 2g - 1.  Of that
+total's readers at other slopes, C4 at n-1 and C5 at n+1, a slope not yet
+visited is still due.  Going down from m, n-1 is not yet visited, and n+1
+is m + 1, not yet visited either, or a visited slope where C5 would
+propose |n| + 1, which C3's step there has stored (C5 is active only at
+n+1 > s > 0, so n > 0 and C6 is off).  Going up from m + 1, n+1 is not
+yet visited, and C4 at n-1 would propose |n| - 1 = |n-1|, which C3's step
+there has stored.  So bounds, trace, sweeps and contradictions are exactly
+those of the unskipped sweeps.
 
 The work is affine in the range.  Measured (g 1..6, m 2g-1..2g+30, ranges
 [lo, hi] with lo <= -1 and hi >= m; tests/test_oracle.py), a solve makes
-c - b*lo + a*hi applications in the sweeps shown, e = 1 if m = 2g - 1 and
-0 otherwise; one slope more below lo (above hi) adds b (a) of them and
-the trace entries shown:
+c - b*lo + a*hi applications in the sweeps shown; one slope more below lo
+(above hi) adds b (a) of them and the trace entries shown:
 
-  drop      c                   below lo   above hi    sweeps
-  none      36 + 8g + 4m        12, 8      4, 6        4
-  C1        28 + 8g              8, 5      4, 3        4
-  C2, C4    36 - 6g - 3e         6, 5      6, 5        3
-  C3        36 + 6g - 3e         9, 2      6, 2 or 3   3
-  C5        27 + 6m + 3e         9, 8      3, 6        4
-  C6        27 + 6g + 3m - 3e    9, 5      3, 6        4
+  drop      c           below lo   above hi    sweeps
+  none      20 + 8g     4, 6       4, 6        3
+  C1        20 + 8g     4, 3       4, 3        3
+  C2, C4    24 - 3m     3, 3       6, 5        2
+  C3        24 - 3m     3, 2       6, 2 or 3   2
+  C5        15 + 6g     3, 6       3, 6        3
+  C6        15          3, 5       3, 6        2
 
-Without drops the trace length is measured too: 35 + 6g + 6m -
-max(0, 2g+1-m) + 8(-1-lo) + 6(hi-m) entries, plus 1 when g = 1 and m <= 2.
+Without drops the trace length is measured too: 30 + 6g + 5m + 6(-1-lo)
++ 6(hi-m) entries, less 1 when g = m = 1.
 
-A visit applies C3, C4, C5 and C6 at its slope, in that order, in one loop
-body (`_apply`) that states each rule once.  Most candidate bounds a rule
-computes are no tighter than the bound already there (about two in three
-over a typical solve), so only a strictly tighter one is stored.  The
-visit holds the bounds it works on in locals, and the rule stores a new
-bound into `lo`/`hi` and the local alike; it calls `_check`, which appends
-the trace entry or raises, only in a traced solve or for a bound that
-crosses the opposite one.  The tightenings and their order are the same
-either way.
+Which slopes a solve leaves open depends on the drops alone.  Say that C4
+is off when C2 or C4 is dropped.  The open slopes are the requested ones
+that meet the first case that applies: (1) C1 or C3 dropped: every slope;
+(2) C4 off and C5 dropped: every slope but m; (3) C5 dropped and m > 2g-1:
+n <= m-1; (4) C4 off or C6 dropped: n <= 2g-2; (5) otherwise none.  No
+drop-only solve contradicts.  So the triangle and the Stein count are each
+needed exactly below 2g-1, and adjunction exactly below m unless m = 2g-1.
+
+A visit's rules sit in one loop body (`_apply`) that states each candidate
+once.  Many candidate bounds a rule computes are no tighter than the bound
+already there (about half over a typical solve), so only a strictly
+tighter one is stored.  The visit holds the bounds it works on in
+locals, and the rule stores a new bound into `lo`/`hi` and the local
+alike; it calls `_check`, which appends the trace entry or raises, only in
+a traced solve or for a bound that crosses the opposite one.  The
+tightenings and their order are the same either way.
 
 `solve` keeps one due flag per slope, Apt's set of functions still to
 apply; every slope starts due, so the C1 seed needs no argument.  A visit
@@ -249,7 +270,8 @@ class ConstraintSystem:
 
     def _apply(self, slopes, c3, c4, c5, c6, due) -> bool:
         """Visit each slope in turn and apply the flagged constraints among
-        C3-C6 there, in that order; returns whether any bound changed.
+        C3-C6 there, in the visit's order (module docstring); returns
+        whether any bound changed.
         `due` holds slope n's flag at n - _lo + 1: one entry past each end,
         so that every slope n-2..n+2 a visit marks is in the list (a
         negative index would wrap silently).  A visit counts one
@@ -277,13 +299,22 @@ class ConstraintSystem:
                 i0 = STRIDE * p  # d0; d1 and the total follow
                 i1 = i0 + 1
                 it = i0 + TOTAL
-                # d0, d1 and total bounds at n; whether C4-C6 stored at n, C4 at n+1, C5 at n-1.
+                # d0, d1 and total bounds at n; whether C4 stored into the
+                # total at n, C5 did, C4 stored at n+1, C5 at n-1.
                 l0, l1, lt = lo[i0], lo[i1], lo[it]
                 h0, h1, ht = hi[i0], hi[i1], hi[it]
-                cn = cu = cp = False
+                c4n = c5n = cu = cp = False
+                if c6:
+                    if n < 0:
+                        v = s - n
+                        if v > l0:
+                            if traced or (h0 is not None and v > h0):
+                                check(i0, "lo", v, "C6", ())
+                            lo[i0] = l0 = v
+                            changed = True
                 if c3:
                     k = abs(n)
-                    # euler coupling d0 = d1 + k; d0.lo and upper bounds from the total
+                    # euler coupling d0 = d1 + k, from d0 to d1 and the total
                     v = l0 - k
                     if v > l1:
                         if traced or (h1 is not None and v > h1):
@@ -297,6 +328,72 @@ class ConstraintSystem:
                             check(it, "lo", v, "C3", (n,))
                         lo[it] = lt = v
                         changed = True
+                if c4:
+                    # Triangle (infinity, n, n+1): each total <= sum of the others.
+                    if n < top:
+                        iu = it + STRIDE
+                        lu, hu = lo[iu], hi[iu]
+                        # The total at n from the total at n+1 ...
+                        if hu is not None:
+                            v = hu + s3
+                            if ht is None or v < ht:
+                                if traced or v < lt:
+                                    check(it, "hi", v, "C4", (n + 1, "inf"))
+                                hi[it] = ht = v
+                                c4n = True
+                        v = lu - s3
+                        if v > lt:
+                            if traced or (ht is not None and v > ht):
+                                check(it, "lo", v, "C4", (n + 1, "inf"))
+                            lo[it] = lt = v
+                            c4n = True
+                        # ... then the total at n+1 from the total at n.
+                        if ht is not None:
+                            v = ht + s3
+                            if hu is None or v < hu:
+                                if traced or v < lu:
+                                    check(iu, "hi", v, "C4", (n, "inf"))
+                                hi[iu] = hu = v
+                                cu = True
+                        v = lt - s3
+                        if v > lu:
+                            if traced or (hu is not None and v > hu):
+                                check(iu, "lo", v, "C4", (n, "inf"))
+                            lo[iu] = lu = v
+                            cu = True
+                if c5:
+                    # Adjunction: total(n) = total(n-1) + 1 once n - 1 >= 2g - 1 > 0.
+                    if n > s:
+                        ip = it - STRIDE
+                        lp, hp = lo[ip], hi[ip]
+                        if hp is not None:
+                            v = hp + 1
+                            if ht is None or v < ht:
+                                if traced or v < lt:
+                                    check(it, "hi", v, "C5", (n - 1,))
+                                hi[it] = ht = v
+                                c5n = True
+                        v = lp + 1
+                        if v > lt:
+                            if traced or (ht is not None and v > ht):
+                                check(it, "lo", v, "C5", (n - 1,))
+                            lo[it] = lt = v
+                            c5n = True
+                        if ht is not None:
+                            v = ht - 1
+                            if hp is None or v < hp:
+                                if traced or v < lp:
+                                    check(ip, "hi", v, "C5", (n,))
+                                hi[ip] = hp = v
+                                cp = True
+                        v = lt - 1
+                        if v > lp:
+                            if traced or (hp is not None and v > hp):
+                                check(ip, "lo", v, "C5", (n,))
+                            lo[ip] = lp = v
+                            cp = True
+                if c3:
+                    # d1, d0 from the total: the halves (t -+ k) / 2.
                     v = -((k - lt) // 2)  # ceil((t.lo - k) / 2)
                     if v > l1:
                         if traced or (h1 is not None and v > h1):
@@ -326,80 +423,15 @@ class ConstraintSystem:
                                 check(i0, "hi", v, "C3", (n,))
                             hi[i0] = h0 = v
                             changed = True
-                if c4:
-                    # Triangle (infinity, n, n+1): each total <= sum of the others.
-                    if n < top:
-                        iu = it + STRIDE
-                        lu, hu = lo[iu], hi[iu]
-                        # The total at n from the total at n+1 ...
-                        if hu is not None:
-                            v = hu + s3
-                            if ht is None or v < ht:
-                                if traced or v < lt:
-                                    check(it, "hi", v, "C4", (n + 1, "inf"))
-                                hi[it] = ht = v
-                                cn = True
-                        v = lu - s3
-                        if v > lt:
-                            if traced or (ht is not None and v > ht):
-                                check(it, "lo", v, "C4", (n + 1, "inf"))
-                            lo[it] = lt = v
-                            cn = True
-                        # ... then the total at n+1 from the total at n.
-                        if ht is not None:
-                            v = ht + s3
-                            if hu is None or v < hu:
-                                if traced or v < lu:
-                                    check(iu, "hi", v, "C4", (n, "inf"))
-                                hi[iu] = hu = v
-                                cu = True
-                        v = lt - s3
-                        if v > lu:
-                            if traced or (hu is not None and v > hu):
-                                check(iu, "lo", v, "C4", (n, "inf"))
-                            lo[iu] = lu = v
-                            cu = True
-                if c5:
-                    # Adjunction: total(n) = total(n-1) + 1 once n - 1 >= 2g - 1 > 0.
-                    if n > s:
-                        ip = it - STRIDE
-                        lp, hp = lo[ip], hi[ip]
-                        if hp is not None:
-                            v = hp + 1
-                            if ht is None or v < ht:
-                                if traced or v < lt:
-                                    check(it, "hi", v, "C5", (n - 1,))
-                                hi[it] = ht = v
-                                cn = True
-                        v = lp + 1
-                        if v > lt:
-                            if traced or (ht is not None and v > ht):
-                                check(it, "lo", v, "C5", (n - 1,))
-                            lo[it] = lt = v
-                            cn = True
-                        if ht is not None:
-                            v = ht - 1
-                            if hp is None or v < hp:
-                                if traced or v < lp:
-                                    check(ip, "hi", v, "C5", (n,))
-                                hi[ip] = hp = v
-                                cp = True
-                        v = lt - 1
-                        if v > lp:
-                            if traced or (hp is not None and v > hp):
-                                check(ip, "lo", v, "C5", (n,))
-                            lo[ip] = lp = v
-                            cp = True
-                if c6:
-                    if n < 0:
-                        v = s - n
-                        if v > l0:
-                            if traced or (h0 is not None and v > h0):
-                                check(i0, "lo", v, "C6", ())
-                            lo[i0] = l0 = v
-                            cn = True
-                # Each changed total or d0 makes due the visits that read it.
-                if cn:
+                # A changed total makes due the visits that read it and have
+                # not run on it yet: for the total at n, C4 at n-1, C5 at n+1
+                # where it is active, and n itself after C5's store; for the
+                # total at n+1 or n-1, that slope and the one beyond it.
+                if c4n:
+                    due[p] = changed = True
+                    if c5 and n >= s:
+                        due[p + 2] = True
+                if c5n:
                     due[p] = due[p + 1] = due[p + 2] = changed = True
                 if cu:
                     due[p + 2] = due[p + 3] = changed = True
@@ -437,11 +469,13 @@ class ConstraintSystem:
         requested range, in slope order.  Raises ContradictionError or
         NotDeterminedError.
 
-        Each sweep is one `_apply` call, one fused C3-C6 visit per slope;
-        the sweeps alternate direction, ascending first, and skip the visits
-        that no store of a bound they read has marked due (module docstring).
-        `applications` counts the applications that ran, `sweeps` the
-        sweeps, including the last one that changed nothing.
+        Each sweep is one `_apply` call, one fused C3-C6 visit per slope, in
+        the order the module docstring gives: outward from m first, then
+        each the reverse of the one before.  Every slope starts due, so the
+        first sweep visits each one; a later sweep skips the visits that no
+        store of a bound they read has marked due.  `applications` counts
+        the applications that ran, `sweeps` the sweeps, including the last
+        one that changed nothing.
 
         It ends with no budget: a rule stores only a strictly tighter bound,
         and each bound changes finitely often.
@@ -456,14 +490,17 @@ class ConstraintSystem:
               Bt = B0 + B1); C4 and C5 move a total by +-1 to a neighbour,
               whose |n| differs by 1; C6 proposes exactly B0; C1 pins
               the total m <= Bt.
-        Every sweep but the last stores a bound, so the loop ends, and
+        Every sweep but the last stores a bound, so the loop ends.  The last
+        one stores nothing, so it leaves no slope due, and the visit at a
+        slope that is not due would change nothing (module docstring): so
         NotDeterminedError always means a fixpoint.
 
         With trace=True every tightening appends a TraceEntry to `trace`,
         in order; nothing else depends on the choice."""
         self._seed_base()
         active = self._active()
-        order = list(range(self._lo, self._hi + 1))
+        m = self.lspace_slope
+        order = [*range(m, self._lo - 1, -1), *range(m + 1, self._hi + 1)]
         due = [True] * (len(order) + 2)
         while True:
             self.sweeps += 1

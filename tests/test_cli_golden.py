@@ -70,9 +70,9 @@ GOLDEN = [
     ("planefield_c1sq", "tsv", 0, "c2d64165b8f77400e45589e41336018c0dab5d98262285d36970cd95f7ece824"),
     ("planefield_c1sq", "json", 0, "073d78f65a407530e3223c39351931d1b25b5d477e559d0bcfe0a1c9edef7450"),
     ("trefoil", "table", 0, "3b47ca1ff93c08c45ab7b0ddd15ae490deb9d7c7d8427dc5855f95df8ee47066"),
-    ("oracle_trace", "table", 0, "92110b8347f92d995969982dff4b77662119e5dbfa6086e2be0fd48d8c105a59"),
-    ("oracle_trace", "json", 0, "36223a0cc2ef93b363c7f8299bf9d58d2e1a1a847c7edafaf4de7cb24a0b9265"),
-    ("oracle_exit3", "table", 3, "9ee674b3637e473988d475d2105613c0c8fbe0d2b5f34ae3aa2158457f3260c0"),
+    ("oracle_trace", "table", 0, "34b416a0269d6c6c92b0080cf586c158adb0fd1dee815425862f52d83c17e822"),
+    ("oracle_trace", "json", 0, "f854fc28d80c4186573c1bd1aea1796adc1cfafe216939b27efc22afb14ccb15"),
+    ("oracle_exit3", "table", 3, "5a1168542956c7f4ca09b88b567a9e7386bcdb0d57f7369c8cd65f3313ed683d"),
     ("oracle_exit3_repeat", "json", 3, "eb9443b3dbdc0c08ca6c889fd2e09548d0d22b387df1d479cff6884fb7d54d03"),
     ("usage", "table", 2, "b1dad6bd356d461c66a801ff07c233a80759009ebf3744c320681e77b72a71ef"),
 ]

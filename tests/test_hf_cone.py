@@ -130,3 +130,38 @@ def test_cone_rank_of_a_drawn_torus_knot(data):
     q = data.draw(st.integers(3, 11), label="q")
     p = data.draw(st.integers(2, q - 1).filter(lambda p: gcd(p, q) == 1), label="p")
     assert _disagreements(p, q, lambda g: range(-(2 * g + 3), 2 * g + 4)) == []
+
+
+def staircase(half):
+    """Coefficients, constant first, of the staircase polynomial whose gaps
+    between exponents, read from the top, are `half` then `half` reversed:
+    coefficients +-1 alternating from +1 at t^g, g = sum(half)."""
+    g = sum(half)
+    a = [0] * (2 * g + 1)
+    exponent = g
+    for k, gap in enumerate([0, *half, *reversed(half)]):
+        exponent -= gap
+        a[exponent + g] = (-1) ** k
+    return a
+
+
+def test_torus_knot_polynomials_are_staircases():
+    assert [staircase(half) for half in ([1], [1, 1], [1, 2], [1, 2, 1], [1, 1, 1, 1, 1])] == [
+        alexander(p, q) for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 11))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=5).map(lambda rest: [1, *rest]))
+def test_cone_rank_of_a_drawn_staircase(half):
+    """The cone rank of a staircase Alexander polynomial is the total of
+    `dims_z2` at every |n| <= 2g + 3.
+
+    Staircases are the shape of every L-space knot's polynomial, first gap 1
+    included (Hedden and Watson, "On the geography and botany of knot Floer
+    homology", 2018), and cover genera and shapes that no torus knot with
+    q <= 11 has.  Not every staircase is the polynomial of a knot, so this
+    checks the algebra of the mapping cone that such a knot would have, not
+    a knot's Floer homology."""
+    a = staircase(half)
+    g = _genus(a)
+    assert [n for n in range(-(2 * g + 3), 2 * g + 4) if cone_rank(a, g, n) != dims_z2(g, n).total()] == []

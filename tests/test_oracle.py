@@ -78,6 +78,44 @@ def test_drop_matrix_pins_open_slopes(drop):
     assert exc.value.slopes == OPEN_WITHOUT[drop]
 
 
+def _open_by_the_law(g, m, slope_range, drop):
+    """The open slopes of a solve by the determinacy law (module docstring):
+    the requested slopes that meet the first case that applies."""
+    slopes = range(slope_range[0], slope_range[1] + 1)
+    c4_off = bool({"C2", "C4"} & drop)
+    if {"C1", "C3"} & drop:
+        return list(slopes)
+    if c4_off and "C5" in drop:
+        return [n for n in slopes if n != m]
+    if "C5" in drop and m > 2 * g - 1:
+        return [n for n in slopes if n <= m - 1]
+    if c4_off or "C6" in drop:
+        return [n for n in slopes if n <= 2 * g - 2]
+    return []
+
+
+ALL_DROPS = [d for k in range(len(CONSTRAINT_IDS) + 1) for d in itertools.combinations(CONSTRAINT_IDS, k)]
+
+
+@pytest.mark.parametrize("drop", ALL_DROPS, ids=["-".join(d) or "none" for d in ALL_DROPS])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_open_slopes_follow_the_determinacy_law(drop, data):
+    # Each of the 64 drop sets, on ranges that need not hold 0 or m: the
+    # solve leaves exactly the law's slopes open, never contradicts, and
+    # determines every other slope as the closed form does.
+    g = data.draw(st.integers(1, 8), label="g")
+    m = data.draw(st.integers(2 * g - 1, 2 * g + 20), label="m")
+    lo = data.draw(st.integers(-60, 60), label="lo")
+    hi = data.draw(st.integers(lo, lo + 80), label="hi")
+    open_slopes = _open_by_the_law(g, m, (lo, hi), set(drop))
+    outcome = _outcome(build_system(g, m, (lo, hi), drop=drop))
+    if open_slopes:
+        assert outcome == (NotDeterminedError, f"fixpoint reached with open intervals at slopes {open_slopes}")
+    else:
+        assert outcome == {n: dims_z2(g, n) for n in range(lo, hi + 1)}
+
+
 @pytest.mark.parametrize("g", range(1, 7))
 def test_dropping_c6_every_tested_pair(g):
     for m in (2 * g - 1, 2 * g, 2 * g + 5):
@@ -152,7 +190,7 @@ def test_a_second_solve_repeats_the_answer_and_adds_no_entry():
     system = build_system(1, 5, (-3, 3), trace=True)
     first = system.solve()
     trace = list(system.trace)
-    assert len(trace) == 87
+    assert len(trace) == 73
     assert system.solve() == first
     assert system.trace == trace
 
@@ -179,11 +217,13 @@ RULES = ("C3", "C4", "C5", "C6")
 
 def _rule(system, *cnames):
     """A call that applies the rules `cnames`, among RULES, at one slope in
-    one visit: one rule alone, or all of RULES as the fused visit."""
+    one visit: one rule alone, or all of RULES as the fused visit.  It calls
+    the class's `_apply`, so it still visits once after `_unskipped_sweeps`
+    or `_scheduled_visits` has replaced the system's own."""
     flags = [c in cnames for c in RULES]
     # A fresh `due` list with every slope due: no visit is skipped.
     width = len(system.lo) // oracle.STRIDE
-    return lambda n: system._apply((n,), *flags, [True] * (width + 2))
+    return lambda n: oracle.ConstraintSystem._apply(system, (n,), *flags, [True] * (width + 2))
 
 
 def _rules(system):
@@ -225,7 +265,9 @@ def _contradiction_messages(pins, rule, slope=3):
 def test_pinned_inconsistent_c3_slope_is_a_contradiction(d0, d1, total, message):
     # At slope 3 the euler relation wants d0 = d1 + 3 and total = d0 + d1.
     pins = [(3, grading, value) for grading, value in enumerate((d0, d1, total))]
-    # C3 comes first in a fused visit, so that visit raises the same.
+    # A fused visit runs only C6 before C3's step from d0 and d1, and C6 does
+    # nothing at slope 3; C4 and C5 there find nothing to cross before C3's
+    # halves of the total.  So that visit raises the same.
     assert _contradiction_messages(pins, "C3") == [f"C3: {message}"] * 4
 
 
@@ -238,10 +280,10 @@ def test_pinned_inconsistent_c4_pair_is_a_contradiction(t3, t4, message):
     # out 1 <= t3 + t4, which never tightens a reachable state (module
     # docstring).
     pins = [(3, oracle.TOTAL, t3), (4, oracle.TOTAL, t4)]
-    alone_untraced, alone_traced, fused_untraced, fused_traced = _contradiction_messages(pins, "C4")
-    assert [alone_untraced, alone_traced] == [f"C4: {message}"] * 2
-    # A fused visit runs C3 on slope 3 first, which may raise before C4.
-    assert fused_untraced == fused_traced
+    # In a fused visit C6 and C3's step, which C4 follows, store nothing at
+    # slope 3 (its total lower bound is already above 2 * 0 + 3), so C4
+    # raises there too.
+    assert _contradiction_messages(pins, "C4") == [f"C4: {message}"] * 4
 
 
 @pytest.mark.parametrize("t2, t3, message", [
@@ -251,18 +293,18 @@ def test_pinned_inconsistent_c4_pair_is_a_contradiction(t3, t4, message):
 def test_pinned_inconsistent_c5_pair_is_a_contradiction(t2, t3, message):
     # With g = 1, adjunction wants t3 = t2 + 1 at slope 3 > 2g - 1.
     pins = [(2, oracle.TOTAL, t2), (3, oracle.TOTAL, t3)]
-    # In a fused visit C3 and C4 find nothing to cross, so C5 raises there too.
+    # In a fused visit C6, C3's step and C4 find nothing to cross, so C5
+    # raises there too.
     assert _contradiction_messages(pins, "C5") == [f"C5: {message}"] * 4
 
 
 def test_pinned_stein_excess_is_a_contradiction():
-    # C6 wants d0 >= (2g - 1) + 3 = 4 at slope -3, above the pinned 2.
+    # C6 wants d0 >= (2g - 1) + 3 = 4 at slope -3, above the pinned 2: more
+    # Stein fillings than the pinned dimension can hold.  C6 comes first in
+    # a fused visit, so that visit raises the same.
     pins = [(-3, 0, 2)]
-    alone_untraced, alone_traced, fused_untraced, fused_traced = _contradiction_messages(pins, "C6", -3)
     message = "C6: lower bound 4 exceeds upper bound 2 at slope -3 (grading 0)"
-    assert [alone_untraced, alone_traced] == [message] * 2
-    # A fused visit runs C3 first, whose d0 >= d1 + 3 crosses already.
-    assert fused_untraced == fused_traced == "C3: lower bound 3 exceeds upper bound 2 at slope -3 (grading 0)"
+    assert _contradiction_messages(pins, "C6", -3) == [message] * 4
 
 
 def test_pinned_consistent_checks_change_nothing_and_still_count():
@@ -310,19 +352,22 @@ def _chaotic_fixpoint(system, rng, after_step=lambda cname, n: None):
     raise AssertionError("no fixpoint within the pass limit")
 
 
-def _woken(stores, n):
+def _woken(stores, n, c5_next):
     """The slopes whose visits read a bound that `stores`, the trace entries
-    of one visit to n, changed (module docstring)."""
+    of one visit to n, changed, and have not yet run on it in that visit
+    (module docstring); `c5_next` is whether C5 is active at n+1."""
     woken = set()
     for e in stores:
-        if e.constraint == "C3":
-            continue  # C3's stores wake no visit (module docstring)
-        if e.slope == n:  # C4 or C5 into the total at n, or C6 into d0 at n
-            woken |= {n - 1, n, n + 1}
-        elif e.slope == n + 1:  # C4 into the total at n+1
+        if e.constraint in ("C3", "C6"):
+            continue  # read only by C3's step at n, which runs after C6 and finds nothing after C3's halves
+        if e.slope == n + 1:  # C4 into the total at n+1
             woken |= {n + 1, n + 2}
-        else:  # C5 into the total at n-1
+        elif e.slope == n - 1:  # C5 into the total at n-1
             woken |= {n - 2, n - 1}
+        elif e.constraint == "C5":  # into the total at n, read by C4 at n, which has run
+            woken |= {n - 1, n, n + 1}
+        else:  # C4 into the total at n, read by C4 at n-1 and C5 at n+1
+            woken |= {n - 1, n + 1} if c5_next else {n - 1}
     return woken
 
 
@@ -335,7 +380,9 @@ def test_each_bound_change_marks_its_window_due(trace):
     # reports a change exactly when it stored a bound.  A traced twin takes
     # every step too, and its new trace entries name the rule and slope of
     # each store.  Besides each rule alone, a step runs the fused visit of
-    # all four, which marks for its stores at n, n+1 (C4) and n-1 (C5).
+    # all four, which marks for its stores at n, n+1 (C4) and n-1 (C5).  A
+    # step without C5 marks as if C5 were dropped: C4's store at n then
+    # wakes no visit at n+1.
     solved = build_system(2, 5, (-12, 12))
     solved.solve()
     system = build_system(2, 5, (-12, 12), trace=trace)
@@ -359,7 +406,8 @@ def test_each_bound_change_marks_its_window_due(trace):
         assert (twin.lo, twin.hi) == (system.lo, system.hi), (n, cname)
         assert changed == bool(stores), (n, cname)
         marked = {system._lo + q - 1 for q, flag in enumerate(due) if flag}
-        assert marked == _woken(stores, n), (n, cname)
+        c5_next = flags[RULES.index("C5")] and n + 1 > 2 * 2 - 1
+        assert marked == _woken(stores, n, c5_next), (n, cname)
         stored |= {(e.constraint, e.slope - n) for e in stores}
     else:
         raise AssertionError("no fixpoint within the step limit")
@@ -497,43 +545,41 @@ def test_c3_leaves_d0_at_least_d1_plus_n(drop):
 
 
 def _scheduled_visits(system, after_visit):
-    """solve()'s sweeps, one `_apply` call per slope on the solve's own `due`
-    list, calling `after_visit(n, due)` after each visit that was due."""
-    system._seed_base()
-    active = system._active()
-    order = list(range(system._lo, system._hi + 1))
-    due = [True] * (len(order) + 2)
-    while True:
-        system.sweeps += 1
+    """Solve `system` on solve()'s own sweeps, in its own order and on its
+    own `due` list, but with each sweep made one `_apply` call per slope,
+    calling `after_visit(n)` after each visit that was due; returns the
+    outcome."""
+    def visit_each(order, *rules_and_due):
+        *rules, due = rules_and_due
         changed = False
         for n in order:
             ran = due[n - system._lo + 1]
-            changed |= system._apply((n,), *active, due)
+            changed |= oracle.ConstraintSystem._apply(system, (n,), *rules, due)
             if ran:
-                after_visit(n, due)
-        if not changed:
-            return
-        order.reverse()
+                after_visit(n)
+        return changed
+
+    system._apply = visit_each
+    return _outcome(system)
 
 
 @pytest.mark.parametrize("drop", [d for k in (0, 1, 2) for d in itertools.combinations(CONSTRAINT_IDS, k)
                                   if "C3" not in d])
 def test_c3_is_at_its_fixpoint_after_every_visit_of_a_solve(drop):
     # Why C3's stores mark no slope (module docstring).  After every visit a
-    # solve makes, each positive total lower bound has the parity of |n|;
-    # one more C3 application at the visited slope changes nothing unless a
-    # later rule of the visit marked the slope due again (C6 raising d0.lo,
-    # say); and a second one changes nothing at all.
+    # solve makes, each positive total lower bound has the parity of |n|,
+    # and one more C3 application at the visited slope changes nothing: C3's
+    # halves run after every rule of the visit that writes the total there,
+    # and leave its step from d0 and d1 nothing to store.
     for g, m in ((1, 1), (1, 5), (2, 3), (2, 8), (3, 11)):
         system = build_system(g, m, (-30, 30), drop=drop, trace=True)
         parity = [abs(n) % 2 for n in range(system._lo, system._hi + 1)]
         c3 = _rule(system, "C3")
 
-        def settled(n, due):
+        def settled(n):
             totals = system.lo[oracle.TOTAL::oracle.STRIDE]
             assert all(t == 0 or t % 2 == k for t, k in zip(totals, parity)), (g, m, n)
             state = list(system.lo), list(system.hi), len(system.trace), system.applications
-            assert not c3(n) or due[n - system._lo + 1], (g, m, n)
             assert not c3(n), (g, m, n)
             system.lo[:], system.hi[:], trace_len, system.applications = state
             del system.trace[trace_len:]
@@ -551,26 +597,27 @@ def test_wide_range_solves_in_a_few_sweeps(g):
     expected = {n: dims_z2(g, n) for n in range(-2000, 2001)}
     system = build_system(g, 2 * g + 5, (-2000, 2000))
     assert system.solve() == expected
-    # At most four sweeps of four constraints per slope, of which the
-    # skipped visits save almost half.
-    assert system.sweeps <= 4
-    assert system.applications <= 0.55 * system.sweeps * (len(system.lo) // oracle.STRIDE) * 4
+    # At most three sweeps of four constraints per slope, of which the
+    # skipped visits save about two in three: a slope is visited about once.
+    assert system.sweeps <= 3
+    assert system.applications <= 0.35 * system.sweeps * (len(system.lo) // oracle.STRIDE) * 4
     # With one rule dropped a solve may leave slopes open, but it still
-    # reaches its fixpoint within four sweeps.
+    # reaches its fixpoint within three sweeps.
     for drop in CONSTRAINT_IDS:
         system = build_system(g, 2 * g + 5, (-2000, 2000), drop=(drop,))
         outcome = _outcome(system)
         assert isinstance(outcome, tuple) or outcome == expected, drop
-        assert system.sweeps <= 4, drop
+        assert system.sweeps <= 3, drop
 
 
 def test_a_solve_past_a_million_applications_is_not_cut_short():
-    # The solve makes 1,008,064 applications in 4 sweeps, more than
-    # MAX_APPLICATIONS: that bounds the width of a range, not the work.
-    system = build_system(1, 5, (-63000, 63000))
-    assert system.solve() == {n: dims_z2(1, n) for n in range(-63000, 63001)}
+    # The widest range accepted: the solve makes 1,000,004 applications in
+    # 3 sweeps, more than MAX_APPLICATIONS, which bounds the width of a
+    # range, not the work.
+    system = build_system(1, 5, (-124997, 124997))
+    assert system.solve() == {n: dims_z2(1, n) for n in range(-124997, 124998)}
     assert system.applications > oracle.MAX_APPLICATIONS
-    assert system.sweeps <= 4
+    assert system.sweeps <= 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -583,22 +630,14 @@ def test_oracle_equals_closed_form_property(data):
 
 
 def _unskipped_sweeps(system):
-    """solve()'s alternating sweeps with every visit made; returns the
-    number of sweeps and of applications."""
-    system._seed_base()
-    steps = _rules(system)
-    order = list(range(system._lo, system._hi + 1))
-    sweeps = applications = 0
-    while True:
-        sweeps += 1
-        changed = False
-        for n in order:
-            for _, step in steps:
-                applications += 1
-                changed |= step(n)
-        if not changed:
-            return sweeps, applications
-        order.reverse()
+    """Solve `system` on solve()'s own sweeps, in its own order, with every
+    visit made: each `_apply` call gets a fresh all-True `due` list.
+    Returns the outcome."""
+    def apply_all(order, *rules_and_due):
+        return oracle.ConstraintSystem._apply(system, order, *rules_and_due[:-1], [True] * (len(order) + 2))
+
+    system._apply = apply_all
+    return _outcome(system)
 
 
 @pytest.mark.parametrize("g", (1, 2, 3))
@@ -607,16 +646,12 @@ def _unskipped_sweeps(system):
 def test_skipped_visits_change_nothing(g, m_offset, drop):
     m = 2 * g + m_offset
     solved = build_system(g, m, (-25, 25), drop=drop, trace=True)
-    try:
-        solved.solve()
-    except NotDeterminedError:
-        pass
     driven = build_system(g, m, (-25, 25), drop=drop, trace=True)
-    sweeps, applications = _unskipped_sweeps(driven)
+    assert _outcome(solved) == _unskipped_sweeps(driven)
     assert solved.trace == driven.trace
     assert (solved.lo, solved.hi) == (driven.lo, driven.hi)
-    assert solved.sweeps == sweeps
-    assert solved.applications <= applications
+    assert solved.sweeps == driven.sweeps
+    assert solved.applications <= driven.applications
 
 
 @settings(max_examples=25, deadline=None)
@@ -630,11 +665,11 @@ def test_skipped_visits_change_nothing_property(data):
     solved = build_system(g, m, (lo, hi), drop=drop, trace=True)
     outcome = _outcome(solved)
     driven = build_system(g, m, (lo, hi), drop=drop, trace=True)
-    sweeps, applications = _unskipped_sweeps(driven)
+    assert _unskipped_sweeps(driven) == outcome
     assert solved.trace == driven.trace
     assert (solved.lo, solved.hi) == (driven.lo, driven.hi)
-    assert solved.sweeps == sweeps
-    assert solved.applications <= applications
+    assert solved.sweeps == driven.sweeps
+    assert solved.applications <= driven.applications
     # Untraced, the tightenings take the inline path instead of the helpers.
     untraced = build_system(g, m, (lo, hi), drop=drop)
     assert _outcome(untraced) == outcome
@@ -649,9 +684,9 @@ def _work(g, m, slope_range):
 
 
 # Without drops the work is affine in the range: each slope added below
-# lo <= -1 costs 12 applications (a visit in 3 of the 4 sweeps) and 8 trace
-# entries, each added above hi >= m costs 4 and 6, and every solve takes 4
-# sweeps.  The whole law, constant term included, is the module docstring's.
+# lo <= -1 or above hi >= m costs 4 applications (one visit in the 3
+# sweeps) and 6 trace entries, and every solve takes 3 sweeps.  The whole
+# law, constant term included, is the module docstring's.
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_work_is_affine_in_the_range(data):
@@ -660,29 +695,27 @@ def test_work_is_affine_in_the_range(data):
     lo = data.draw(st.integers(-60, -1), label="lo")
     hi = data.draw(st.integers(m, m + 60), label="hi")
     applications, trace_len, sweeps = _work(g, m, (lo, hi))
-    assert applications == 36 + 8 * g + 4 * m - 12 * lo + 4 * hi
-    assert trace_len == (35 + 6 * g + 6 * m - max(0, 2 * g + 1 - m) + 8 * (-1 - lo) + 6 * (hi - m)
-                         + (g == 1 and m <= 2))
+    assert applications == 20 + 8 * g - 4 * lo + 4 * hi
+    assert trace_len == 30 + 6 * g + 5 * m + 6 * (-1 - lo) + 6 * (hi - m) - (g == m == 1)
     down = _work(g, m, (lo - 1, hi))
     up = _work(g, m, (lo, hi + 1))
-    assert (down[0] - applications, down[1] - trace_len) == (12, 8)
+    assert (down[0] - applications, down[1] - trace_len) == (4, 6)
     assert (up[0] - applications, up[1] - trace_len) == (4, 6)
-    assert (sweeps, down[2], up[2]) == (4, 4, 4)
+    assert (sweeps, down[2], up[2]) == (3, 3, 3)
 
 
 # With one rule dropped the work is affine in the range too: the constant
-# c0 + cg * g + cm * m + ce * e applications, e = 1 if m = 2g - 1 and 0
-# otherwise, as (c0, cg, cm, ce); (applications, trace entries) for one slope
-# more below lo, then above hi; and the sweeps of every solve.  A solve makes
-# the constant - (below) * lo + (above) * hi applications.  Upward, C3's
-# trace entries are 2 or 3 and are not pinned.
+# c0 + cg * g + cm * m applications, as (c0, cg, cm); (applications, trace
+# entries) for one slope more below lo, then above hi; and the sweeps of
+# every solve.  A solve makes the constant - (below) * lo + (above) * hi
+# applications.  Upward, C3's trace entries are 2 or 3 and are not pinned.
 DROP_LAW = {
-    "C1": ((28, 8, 0, 0), (8, 5), (4, 3), 4),
-    "C2": ((36, -6, 0, -3), (6, 5), (6, 5), 3),
-    "C3": ((36, 6, 0, -3), (9, 2), (6, None), 3),
-    "C4": ((36, -6, 0, -3), (6, 5), (6, 5), 3),
-    "C5": ((27, 0, 6, 3), (9, 8), (3, 6), 4),
-    "C6": ((27, 6, 3, -3), (9, 5), (3, 6), 4),
+    "C1": ((20, 8, 0), (4, 3), (4, 3), 3),
+    "C2": ((24, 0, -3), (3, 3), (6, 5), 2),
+    "C3": ((24, 0, -3), (3, 2), (6, None), 2),
+    "C4": ((24, 0, -3), (3, 3), (6, 5), 2),
+    "C5": ((15, 6, 0), (3, 6), (3, 6), 3),
+    "C6": ((15, 0, 0), (3, 5), (3, 6), 2),
 }
 
 
@@ -700,8 +733,8 @@ def test_work_is_affine_in_the_range_under_one_drop(drop, data):
         _outcome(system)
         work.append((system.applications, len(system.trace), system.sweeps))
     (applications, trace_len, _), down, up = work
-    (c0, cg, cm, ce), (down_applications, down_trace), (up_applications, up_trace), sweeps = DROP_LAW[drop]
-    constant = c0 + cg * g + cm * m + ce * (m == 2 * g - 1)
+    (c0, cg, cm), (down_applications, down_trace), (up_applications, up_trace), sweeps = DROP_LAW[drop]
+    constant = c0 + cg * g + cm * m
     assert applications == constant - down_applications * lo + up_applications * hi
     assert (down[0] - applications, down[1] - trace_len) == (down_applications, down_trace)
     assert up[0] - applications == up_applications
@@ -714,18 +747,18 @@ def test_work_is_affine_in_the_range_under_one_drop(drop, data):
 # drop, two double drops and a range above 0.  A change to the sweep order,
 # the skip rule or how applications are counted shows here.
 WORK = [
-    (1, 5, (-10, 10), (), (224, 4, 173)),
-    (1, 5, (-10, 10), ('C1',), (156, 4, 97)),
-    (1, 5, (-10, 10), ('C2',), (150, 3, 120)),
-    (1, 7, (-30, 30), ('C3',), (492, 3, 141)),
-    (2, 5, (-20, 20), ('C4',), (264, 3, 214)),
-    (1, 5, (-10, 10), ('C5',), (177, 4, 171)),
-    (2, 5, (-20, 20), ('C6',), (294, 4, 244)),
-    (2, 7, (-25, 25), ('C3', 'C5'), (246, 3, 95)),
-    (3, 8, (-25, 25), ('C4', 'C6'), (158, 3, 177)),
-    (2, 3, (4, 40), (), (224, 4, 277)),
-    (3, 11, (-300, 300), (), (4904, 4, 4245)),
-    (4, 7, (-1000, 1500), (), (18096, 4, 17049)),
+    (1, 5, (-10, 10), (), (108, 3, 145)),
+    (1, 5, (-10, 10), ('C1',), (108, 3, 70)),
+    (1, 5, (-10, 10), ('C2',), (99, 2, 96)),
+    (1, 7, (-30, 30), ('C3',), (273, 2, 135)),
+    (2, 5, (-20, 20), ('C4',), (189, 2, 170)),
+    (1, 5, (-10, 10), ('C5',), (81, 3, 145)),
+    (2, 5, (-20, 20), ('C6',), (135, 2, 240)),
+    (2, 7, (-25, 25), ('C3', 'C5'), (110, 2, 95)),
+    (3, 8, (-25, 25), ('C4', 'C6'), (150, 2, 177)),
+    (2, 3, (4, 40), (), (196, 3, 273)),
+    (3, 11, (-300, 300), (), (2444, 3, 3631)),
+    (4, 7, (-1000, 1500), (), (10052, 3, 15041)),
 ]
 
 

@@ -16,19 +16,19 @@ import pytest
 from isurg import cli
 
 GOLDEN = [
-    (1, 5, "-10:10", (), 0, "e19fa1669466d5ab1e1f4fd6e90817816463fcab5ce841cd269217cb62a58dcc"),
-    (1, 1, "-30:7", (), 0, "b36df016748299808a05f9aadcd6ef887fbf91d52904a29c66751f697584a9a7"),
-    (2, 3, "-6:20", (), 0, "a20681329d62c67da69f2ae3c00707a3874729da9fecf4dfbca560f65d93a653"),
-    (2, 7, "-25:25", (), 0, "b01c4f226805c97f829133ed41cde0c55b882463bd905aa13d14bcf95289ad60"),
-    (2, 9, "-300:300", (), 0, "46ae5d6275f4257c1fcf42d3bc44e679976e17ec0cc4253cbd39d4f933a20a0c"),
-    (3, 5, "0:12", (), 0, "85b86974ecba0eeb14092209c7ff1cdf8f50a58159d13d8ec77120d57b5a7052"),
-    (3, 11, "-40:3", (), 0, "410bb6a7260fa24c7174606ec546f0c3088063c647332149cbd025002018bca1"),
-    (1, 5, "-10:10", ("C5",), 3, "40df669379c809f552f819da6a2b498b305c7de30b9fcc3314c8a78aee303cca"),
-    (1, 5, "-10:10", ("C1",), 3, "553c3fb4c099252ffd6d1b5a97b795bde24de115c22a6bbf710787b1b2739177"),
-    (1, 5, "-10:10", ("C2",), 3, "4e5cdada675c18cb5956db1e364e876cff49642c9e6bfce19835daa87273238f"),
-    (1, 7, "-30:30", ("C3",), 3, "876e838d79450def788ebfd693a04c21eb32a0c29341091efc4be9f8ec00e23f"),
-    (2, 5, "-20:20", ("C4",), 3, "9e131351f55b023703ac952a886aa81fd15b37562e1095aefb9d0b9622d6e6a7"),
-    (2, 5, "-20:20", ("C6",), 3, "dfd2fe86307ae8c083dc9ff4f9234637e239de6da081d83909defa01e5092002"),
+    (1, 5, "-10:10", (), 0, "6cd9bfc7ee4695dfc3ff9294c6ddb712e33fd3b1ff7f776aebbffbce9c77d7fe"),
+    (1, 1, "-30:7", (), 0, "4dd1355898d4e92837933d0c12e2e66bb03130a8b751b5caa2c0c753eedb6e3e"),
+    (2, 3, "-6:20", (), 0, "20edac9a071da4c22ce6079496fda80f5c03e873e05b3ccfc840f83e5676b5bd"),
+    (2, 7, "-25:25", (), 0, "21d22a0c83a14e8f760646361b09f7d614c4662bc43f15d318a27db90c1237e1"),
+    (2, 9, "-300:300", (), 0, "c59b779aaeb8461bb8828e353675864c232575a28327bd5836db5920cd8e3dce"),
+    (3, 5, "0:12", (), 0, "4c91a5c913bf0984c2f5d23a344eccc0f69788fe0984976cbda6b778dd1ac5fb"),
+    (3, 11, "-40:3", (), 0, "464fcc2b6b325f26244b696218de28e815fdff4cbe53100d441d6e89a46b0ed8"),
+    (1, 5, "-10:10", ("C5",), 3, "304a6dc9e67cd635936b9789cc9ddf43d5b91326c58e85d4a46ecb87aa0c1461"),
+    (1, 5, "-10:10", ("C1",), 3, "0cc1bd27a6fdc0e0c12bcbac7959e9e447e415adf6ff9995d8943667030640b7"),
+    (1, 5, "-10:10", ("C2",), 3, "f4092600356a5e5236a21af70eb967e676cf8198212256a0f3fc63b01f3eca23"),
+    (1, 7, "-30:30", ("C3",), 3, "813a66b166ad3bda6e031a05b5296d843c1d7b7b4a961c6fec38be70cb5c7891"),
+    (2, 5, "-20:20", ("C4",), 3, "dcac972ac94d91bec8b432e4d98cbc652c6b3e4d0c248c6153bf4e6987e25b7f"),
+    (2, 5, "-20:20", ("C6",), 3, "6dfb6780487be40bf61c4962dd50e9bdd00173dfed4e4f9e9e68982c5ae8ee7f"),
 ]
 
 
